@@ -10,6 +10,12 @@ gate (see ``benchmarks/conftest.py`` and ``benchmarks/perf_gate.py``).
 
 Quick mode shrinks the size grid; the full run checks the ≥5× speedup
 acceptance bar at 512 training samples for the default box back-end.
+
+A robust monitor is also judged by what it costs to *score* with: one
+``word2set`` pattern per training row lands in its packed mirror, and the
+mirror keeps only the rows that add coverage.  ``robust_interval_warn_n256``
+gates robust interval ``warn_batch`` on 256 track frames, where the range
+pass dominates.
 """
 
 import os
@@ -20,6 +26,7 @@ import pytest
 
 from repro.eval.reporting import format_table
 from repro.monitors.boolean import RobustBooleanPatternMonitor
+from repro.monitors.interval import RobustIntervalPatternMonitor
 from repro.monitors.minmax import RobustMinMaxMonitor
 from repro.monitors.perturbation import (
     PerturbationSpec,
@@ -36,6 +43,9 @@ SIZES = [64, 128] if QUICK else [128, 256, 512]
 #: Star-backed fits solve LPs per row even on the batched path, so the
 #: end-to-end gate entry runs at a deliberately small n in every mode.
 STAR_SIZE = 32
+#: Box Δ of the track experiments (``benchmarks/conftest.py``).
+TRACK_DELTA = 0.002
+WARN_FRAMES = 256
 #: Only the largest size feeds the CI perf gate: its timings are big enough
 #: to sit well clear of timer/scheduler jitter at the 25% threshold.  Smaller
 #: sizes are still recorded with a "_" prefix (informational, not gated).
@@ -171,3 +181,38 @@ def test_robust_monitor_fit_wall_time(bench_record, fit_network, fit_inputs, fam
         rows.append([size, f"{elapsed * 1e3:.2f}"])
     print(f"\nE10: robust {family} monitor fit wall time (batched path)")
     print(format_table(["n", "fit_ms"], rows))
+
+
+@pytest.mark.benchmark(group="E10-robust-fit-scaling")
+def test_robust_interval_warn_batch(bench_record, track_workload, track_layer):
+    """Robust interval scoring on track frames, watched by the perf gate."""
+    spec = PerturbationSpec(delta=TRACK_DELTA, layer=0, method="box")
+    train = track_workload.train.inputs
+    monitor = RobustIntervalPatternMonitor(
+        track_workload.network, track_layer, spec, num_cuts=3
+    ).fit(train)
+    sources = [track_workload.in_odd_eval.inputs] + [
+        data.inputs for data in track_workload.out_of_odd_eval.values()
+    ]
+    pool = np.vstack(sources)
+    frames = pool[np.arange(WARN_FRAMES) % pool.shape[0]]
+    name = f"robust_interval_warn_n{WARN_FRAMES}"
+    warns = bench_record.measure(
+        name, lambda: monitor.warn_batch(frames), repeats=5, inner=20
+    )
+    state = monitor.patterns.packed_state()
+    bench_record.annotate(
+        name,
+        inserted_rows=monitor.patterns.insertions,
+        range_rows=int(state["range_low"].shape[0]),
+        exact_rows=int(state["exact"].shape[0]),
+    )
+    assert warns.shape == (WARN_FRAMES,)
+    # Lemma 1 at the fit rows themselves: a robust monitor accepts them.
+    assert not monitor.warn_batch(train).any()
+    print(
+        f"\nE10: robust interval warn_batch n={WARN_FRAMES}: "
+        f"{bench_record.timings[name] * 1e3:.3f} ms "
+        f"({state['range_low'].shape[0]} range + {state['exact'].shape[0]} exact rows "
+        f"from {monitor.patterns.insertions} inserted)"
+    )

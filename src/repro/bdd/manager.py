@@ -22,6 +22,7 @@ Node references are plain integers (indices into the manager's node list),
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
@@ -279,22 +280,31 @@ class BDDManager:
         """Number of complete assignments satisfying ``f``."""
         return self.count_solutions_exact(f)
 
-    def _count_scaled(self, ref: int, cache: Dict[int, int]) -> int:
-        """Count solutions with the standard 2^{gap} scaling recursion."""
-        if ref == FALSE:
-            return 0
-        if ref == TRUE:
-            return 1
-        if ref in cache:
-            return cache[ref]
-        var, low, high = self.node(ref)
-        low_var = self._var[low]
-        high_var = self._var[high]
-        low_count = self._count_scaled(low, cache) * (1 << (low_var - var - 1))
-        high_count = self._count_scaled(high, cache) * (1 << (high_var - var - 1))
-        result = low_count + high_count
-        cache[ref] = result
-        return result
+    def _count_scaled(self, f: int) -> int:
+        """Count solutions below ``f`` with the standard 2^{gap} scaling.
+
+        Post-order walk on an explicit stack: a BDD over thousands of
+        variables is that many levels deep, past the interpreter's
+        recursion limit.
+        """
+        var_of, lows, highs = self._var, self._low, self._high
+        counts: Dict[int, int] = {FALSE: 0, TRUE: 1}
+        stack = [f]
+        while stack:
+            ref = stack[-1]
+            if ref in counts:
+                stack.pop()
+                continue
+            low, high = lows[ref], highs[ref]
+            if low not in counts or high not in counts:
+                stack.extend(child for child in (low, high) if child not in counts)
+                continue
+            stack.pop()
+            var = var_of[ref]
+            counts[ref] = (counts[low] << (var_of[low] - var - 1)) + (
+                counts[high] << (var_of[high] - var - 1)
+            )
+        return counts[f]
 
     def count_solutions_exact(self, f: int) -> int:
         """Exact model count over all ``num_vars`` variables."""
@@ -303,53 +313,52 @@ class BDDManager:
         if f == TRUE:
             return 1 << self.num_vars
         root_var = self._var[f]
-        return self._count_scaled(f, {}) * (1 << root_var)
+        return self._count_scaled(f) << root_var
 
     def iterate_models(self, f: int, limit: Optional[int] = None) -> Iterator[Tuple[bool, ...]]:
-        """Yield complete satisfying assignments of ``f`` (up to ``limit``)."""
+        """Yield complete satisfying assignments of ``f`` (up to ``limit``).
+
+        Models come in lexicographic order (False before True, variable 0
+        first), from a depth-first walk on an explicit stack.
+        """
+        if limit is not None and limit <= 0:
+            return
         emitted = 0
-
-        def recurse(ref: int, var: int, partial: List[bool]) -> Iterator[Tuple[bool, ...]]:
-            nonlocal emitted
-            if limit is not None and emitted >= limit:
-                return
-            if var == self.num_vars:
-                if ref == TRUE:
-                    emitted += 1
-                    yield tuple(partial)
-                return
+        num_vars = self.num_vars
+        partial: List[bool] = []
+        # (node, next variable to assign, value just given to variable - 1)
+        stack: List[Tuple[int, int, Optional[bool]]] = [(f, 0, None)]
+        while stack:
+            ref, var, value = stack.pop()
+            if value is not None:
+                del partial[var - 1 :]
+                partial.append(value)
             if ref == FALSE:
-                return
-            node_var = self._var[ref]
-            if node_var > var:
-                for value in (False, True):
-                    partial.append(value)
-                    yield from recurse(ref, var + 1, partial)
-                    partial.pop()
-                return
-            _, low, high = self.node(ref)
-            partial.append(False)
-            yield from recurse(low, var + 1, partial)
-            partial.pop()
-            partial.append(True)
-            yield from recurse(high, var + 1, partial)
-            partial.pop()
-
-        yield from recurse(f, 0, [])
+                continue
+            if var == num_vars:
+                emitted += 1
+                yield tuple(partial)
+                if limit is not None and emitted >= limit:
+                    return
+                continue
+            if self._var[ref] > var:
+                low = high = ref
+            else:
+                low, high = self._low[ref], self._high[ref]
+            stack.append((high, var + 1, True))
+            stack.append((low, var + 1, False))
 
     def dag_size(self, f: int) -> int:
         """Number of distinct internal nodes reachable from ``f``."""
         seen = set()
-
-        def visit(ref: int) -> None:
-            if self.is_terminal(ref) or ref in seen:
-                return
+        stack = [f]
+        while stack:
+            ref = stack.pop()
+            if ref in (FALSE, TRUE) or ref in seen:
+                continue
             seen.add(ref)
-            _, low, high = self.node(ref)
-            visit(low)
-            visit(high)
-
-        visit(f)
+            stack.append(self._low[ref])
+            stack.append(self._high[ref])
         return len(seen)
 
     # ------------------------------------------------------------------
@@ -389,6 +398,42 @@ class BDDManager:
                 unique[key] = ref
             result = ref
         return result
+
+    def code_sets(self, code_sets: Sequence[Iterable[int]], bits: int) -> int:
+        """Words whose block ``p`` takes a code from ``code_sets[p]``.
+
+        Variables ``p·bits … p·bits + bits - 1`` hold the code of block
+        ``p``, most significant bit first — the multi-bit ``word2set`` of
+        the robust interval monitor.  Like :meth:`cube` the BDD is built
+        bottom-up, one block at a time with the next block's BDD as its
+        accepting child, so the cost is linear in the listed codes and no
+        ``ite`` recursion runs (its depth would grow with the word width).
+        """
+        if len(code_sets) * bits > self.num_vars:
+            raise ConfigurationError(
+                f"{len(code_sets)} blocks of {bits} bits exceed {self.num_vars} variables"
+            )
+        result = TRUE
+        for block in reversed(range(len(code_sets))):
+            codes = sorted(set(int(code) for code in code_sets[block]))
+            if codes and not 0 <= codes[0] <= codes[-1] < (1 << bits):
+                raise ConfigurationError(f"codes of block {block} do not fit {bits} bits")
+            result = self._code_block(block * bits, bits, codes, result)
+        return result
+
+    def _code_block(self, first_var: int, bits: int, codes: List[int], accept: int) -> int:
+        """``codes`` (sorted, over ``bits`` bits from ``first_var``) → ``accept``."""
+        if not codes:
+            return FALSE
+        if len(codes) == 1 << bits:
+            return accept
+        half = 1 << (bits - 1)
+        split = bisect.bisect_left(codes, half)
+        low = self._code_block(first_var + 1, bits - 1, codes[:split], accept)
+        high = self._code_block(
+            first_var + 1, bits - 1, [code - half for code in codes[split:]], accept
+        )
+        return self._make(first_var, low, high)
 
     def from_assignment(self, assignment: Sequence[bool]) -> int:
         """Cube encoding one complete assignment."""

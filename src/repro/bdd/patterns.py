@@ -21,10 +21,14 @@ word order (bit 0 of neuron 0 first), matching the paper's example encoding
 ``(¬b10) ∧ (b20 ∨ b21) ∧ …``.  The **packed mirror**
 (:class:`~repro.runtime.matcher.PackedMatcher`) stores the same patterns as
 flat NumPy structures and answers :meth:`PatternSet.contains_batch` with a
-few broadcast kernels instead of one BDD walk per row.  Every insertion API
-updates both; if a pattern ever cannot be mirrored exactly (a non-contiguous
-admissible code set), the mirror degrades to a sound pre-filter and batched
-queries fall back to the BDD for unresolved rows.
+few broadcast kernels instead of one BDD walk per row.  The mirror is kept
+minimal — no stored row is covered by another — and the bulk inserts write
+it *first*: only the rows it keeps are built into BDD cubes, since every
+dropped row lies inside a row the BDD already holds or is about to.  The
+mirror's words are always a subset of the BDD's; if a pattern ever cannot be
+mirrored exactly (a non-contiguous admissible code set), the mirror degrades
+to a sound pre-filter and batched queries fall back to the BDD for
+unresolved rows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from ..exceptions import ConfigurationError
 from ..runtime.codec import TernaryPlanes, WordCodec
 from ..runtime.matcher import PackedMatcher
 from ..runtime.packing import unpack_bool_matrix
-from .manager import FALSE, TRUE, BDDManager
+from .manager import FALSE, BDDManager
 
 __all__ = ["TernarySymbol", "PatternSet", "DONT_CARE"]
 
@@ -214,14 +218,17 @@ class PatternSet:
         range_high = np.asarray(state["range_high"], dtype=np.int64)
         if values.shape != masks.shape or range_low.shape != range_high.shape:
             raise ConfigurationError("packed state arrays are inconsistent")
-        if exact.shape[0]:
-            obj._matcher.add_exact_packed(exact)
+        # Ternary and range rows first, so the exact rows they cover are
+        # dropped on arrival: archives written before the mirror was kept
+        # minimal come back minimal.
         if values.shape[0]:
             obj._matcher.add_ternary(TernaryPlanes(values=values, masks=masks))
         if range_low.shape[0]:
             obj._matcher.add_code_ranges(range_low, range_high)
+        if exact.shape[0]:
+            obj._matcher.add_exact_packed(exact)
         total_rows = int(exact.shape[0] + values.shape[0] + range_low.shape[0])
-        obj._bdd_deferred = total_rows > 0
+        obj._bdd_deferred = not obj._matcher.is_empty
         obj._insertions = int(insertions) if insertions is not None else total_rows
         return obj
 
@@ -247,25 +254,10 @@ class PatternSet:
             )
         values, masks = state["ternary_values"], state["ternary_masks"]
         if values.shape[0]:
-            value_bits = unpack_bool_matrix(values, self.num_bits)
-            mask_bits = unpack_bool_matrix(masks, self.num_bits)
-            cubes = []
-            for value_row, mask_row in zip(value_bits, mask_bits):
-                literals = {
-                    int(index): bool(value_row[index])
-                    for index in np.nonzero(mask_row)[0]
-                }
-                cubes.append(self.manager.cube(literals))
-            parts.append(self.manager.disjoin_balanced(cubes))
+            parts.append(self._ternary_bdd(values, masks))
         range_low, range_high = state["range_low"], state["range_high"]
         if range_low.shape[0]:
-            row_bdds = [
-                self._range_row_bdd(
-                    [int(code) for code in low_row], [int(code) for code in high_row]
-                )
-                for low_row, high_row in zip(range_low, range_high)
-            ]
-            parts.append(self.manager.disjoin_balanced(row_bdds))
+            parts.append(self._range_bdd(range_low, range_high))
         for part in parts:
             self._root = self.manager.apply_or(self._root, part)
 
@@ -280,7 +272,12 @@ class PatternSet:
 
     @property
     def insertions(self) -> int:
-        """Number of inserted patterns (bulk inserts count each row)."""
+        """Number of patterns inserted (bulk inserts count each row).
+
+        This counts rows *inserted*, duplicates and covered rows included;
+        the rows the minimal mirror *stores* are counted by the matcher's
+        ``num_exact`` / ``num_ternary`` / ``num_ranges``.
+        """
         return self._insertions
 
     def _pack_bits_python(self, true_indices: Iterable[int]) -> List[int]:
@@ -313,22 +310,23 @@ class PatternSet:
     def add_patterns(self, words: np.ndarray) -> None:
         """Bulk-insert a ``(N, num_positions)`` matrix of code words.
 
-        The batch is bit-packed, deduplicated, and unioned into the BDD with
-        a balanced disjunction over the distinct cubes — far cheaper than one
-        :meth:`add_word` per sample when training batches repeat patterns.
+        The batch is bit-packed and mirrored first; only the words the
+        mirror keeps (new, and not covered by a stored ternary or range row)
+        are unioned into the BDD, with a balanced disjunction over their
+        cubes — far cheaper than one :meth:`add_word` per sample when
+        training batches repeat patterns.
         """
         words = self._validate_code_matrix(words)
         if words.shape[0] == 0:
             return
         packed = self.codec.pack_codes(words)
-        if not self._bdd_deferred:
-            unique = np.unique(packed, axis=0)
-            bit_rows = unpack_bool_matrix(unique, self.num_bits)
+        kept = self._matcher.add_exact_packed(packed)
+        if not self._bdd_deferred and np.any(kept):
+            bit_rows = unpack_bool_matrix(packed[kept], self.num_bits)
             cubes = [self.manager.from_assignment(list(row)) for row in bit_rows]
             self._root = self.manager.apply_or(
                 self._root, self.manager.disjoin_balanced(cubes)
             )
-        self._matcher.add_exact_packed(packed)
         self._insertions += int(words.shape[0])
 
     def add_ternary_word(self, word: Sequence[object]) -> None:
@@ -373,7 +371,9 @@ class PatternSet:
 
         Each row contributes the cube over its constrained bits only — the
         ``word2set`` trick — and the batch of cubes is unioned with a
-        balanced disjunction.
+        balanced disjunction.  Rows the minimal mirror drops (duplicates,
+        and rows inside another row) add no words, so only the rows it
+        keeps are built into cubes.
         """
         if self.bits_per_position != 1:
             raise ConfigurationError(
@@ -385,21 +385,25 @@ class PatternSet:
             raise ConfigurationError(
                 "ternary planes do not match this pattern set's word width"
             )
-        if not self._bdd_deferred:
-            value_bits = unpack_bool_matrix(planes.values, self.num_bits)
-            mask_bits = unpack_bool_matrix(planes.masks, self.num_bits)
-            cubes = []
-            for value_row, mask_row in zip(value_bits, mask_bits):
-                literals = {
-                    int(index): bool(value_row[index])
-                    for index in np.nonzero(mask_row)[0]
-                }
-                cubes.append(self.manager.cube(literals))
+        kept = self._matcher.add_ternary(planes)
+        if not self._bdd_deferred and np.any(kept):
             self._root = self.manager.apply_or(
-                self._root, self.manager.disjoin_balanced(cubes)
+                self._root,
+                self._ternary_bdd(planes.values[kept], planes.masks[kept]),
             )
-        self._matcher.add_ternary(planes)
         self._insertions += len(planes)
+
+    def _ternary_bdd(self, values: np.ndarray, masks: np.ndarray) -> int:
+        """Balanced disjunction of the cubes of packed ternary rows."""
+        value_bits = unpack_bool_matrix(values, self.num_bits)
+        mask_bits = unpack_bool_matrix(masks, self.num_bits)
+        cubes = []
+        for value_row, mask_row in zip(value_bits, mask_bits):
+            literals = {
+                int(index): bool(value_row[index]) for index in np.nonzero(mask_row)[0]
+            }
+            cubes.append(self.manager.cube(literals))
+        return self.manager.disjoin_balanced(cubes)
 
     def add_code_sets(self, code_sets: Sequence[Iterable[int]]) -> None:
         """Insert every word whose position ``i`` code lies in ``code_sets[i]``.
@@ -436,7 +440,9 @@ class PatternSet:
             self.add_range_patterns(low, high)
             return
         self._ensure_bdd()
-        self._insert_code_sets_bdd(normalised)
+        self._root = self.manager.apply_or(
+            self._root, self.manager.code_sets(normalised, self.bits_per_position)
+        )
         self._mirror_complete = False
         self._insertions += 1
 
@@ -446,6 +452,7 @@ class PatternSet:
         Row ``i`` inserts the Cartesian product of the ranges
         ``low_codes[i, p] .. high_codes[i, p]`` — the robust interval
         abstraction of Section III-C for a whole training batch at once.
+        Only the rows the minimal mirror keeps are built into the BDD.
         """
         low_codes = self._validate_code_matrix(low_codes)
         high_codes = self._validate_code_matrix(high_codes)
@@ -455,56 +462,24 @@ class PatternSet:
             raise ConfigurationError("code range lower end exceeds upper end")
         if low_codes.shape[0] == 0:
             return
-        if not self._bdd_deferred:
-            row_bdds = []
-            for low_row, high_row in zip(low_codes, high_codes):
-                row_bdds.append(
-                    self._range_row_bdd(
-                        [int(code) for code in low_row],
-                        [int(code) for code in high_row],
-                    )
-                )
+        kept = self._matcher.add_code_ranges(low_codes, high_codes)
+        if not self._bdd_deferred and np.any(kept):
             self._root = self.manager.apply_or(
-                self._root, self.manager.disjoin_balanced(row_bdds)
+                self._root, self._range_bdd(low_codes[kept], high_codes[kept])
             )
-        self._matcher.add_code_ranges(low_codes, high_codes)
         self._insertions += int(low_codes.shape[0])
 
-    def _range_row_bdd(self, low_row: Sequence[int], high_row: Sequence[int]) -> int:
-        position_bdds: List[int] = []
-        full = 1 << self.bits_per_position
-        for position, (low, high) in enumerate(zip(low_row, high_row)):
-            if high - low + 1 == full:
-                position_bdds.append(TRUE)
-                continue
-            alternatives = []
-            for code in range(low, high + 1):
-                bits = self._code_bits(code)
-                literals = {
-                    self.bit_index(position, bit): bits[bit]
-                    for bit in range(self.bits_per_position)
-                }
-                alternatives.append(self.manager.cube(literals))
-            position_bdds.append(self.manager.disjoin(alternatives))
-        return self.manager.conjoin(position_bdds)
-
-    def _insert_code_sets_bdd(self, code_sets: Sequence[Sequence[int]]) -> None:
-        position_bdds: List[int] = []
-        for position, codes in enumerate(code_sets):
-            if len(codes) == (1 << self.bits_per_position):
-                position_bdds.append(TRUE)
-                continue
-            alternatives = []
-            for code in codes:
-                bits = self._code_bits(code)
-                literals = {
-                    self.bit_index(position, bit): bits[bit]
-                    for bit in range(self.bits_per_position)
-                }
-                alternatives.append(self.manager.cube(literals))
-            position_bdds.append(self.manager.disjoin(alternatives))
-        cube = self.manager.conjoin(position_bdds)
-        self._root = self.manager.apply_or(self._root, cube)
+    def _range_bdd(self, low_codes: np.ndarray, high_codes: np.ndarray) -> int:
+        """Balanced disjunction of the BDDs of code-range rows."""
+        bits = self.bits_per_position
+        return self.manager.disjoin_balanced(
+            [
+                self.manager.code_sets(
+                    [range(low, high + 1) for low, high in zip(low_row, high_row)], bits
+                )
+                for low_row, high_row in zip(low_codes.tolist(), high_codes.tolist())
+            ]
+        )
 
     def union(self, other: "PatternSet") -> None:
         """In-place union with another pattern set sharing the same shape."""

@@ -8,15 +8,33 @@ insertion into three flat NumPy structures and answers batched membership
 through a pluggable *matcher kernel*, exactly like a ternary CAM in a
 network switch:
 
-* fully specified words — a deduplicated row matrix, matched by sort-based
-  row lookup (or binary search in the compiled kernel);
+* fully specified words — a deduplicated, row-sorted matrix, matched by
+  sort-based row lookup (or binary search in the compiled kernel);
 * ternary words — ``(M, W)`` value/mask bit-planes; probe ``p`` matches row
   ``i`` iff ``(p ^ value_i) & mask_i == 0``;
 * code-range words (robust interval monitors) — ``(M, P)`` per-position
   low/high code matrices; probe codes match iff they lie inside every range.
 
-The mirror is exact: each structure covers precisely the words the
-corresponding insertion API added, so matcher membership equals BDD
+The mirror is exact and minimal: the union of its rows is precisely the
+union of the words the insertion APIs added, and no stored row is covered
+by another stored row.  Row ``j`` *covers* row ``i`` when
+
+* both are ternary, ``mask_j ⊆ mask_i`` and ``(value_i ^ value_j) & mask_j
+  == 0`` (row ``j`` constrains fewer bits and agrees on them);
+* both are code ranges, ``low_j ≤ low_i`` and ``high_i ≤ high_j`` at every
+  position (row ``i``'s box lies inside row ``j``'s);
+* row ``i`` is fully specified and row ``j`` is a ternary or range row
+  matching it;
+
+and of identical rows exactly one is kept.  Every insert drops duplicates
+and covered rows within the batch, drops new rows the stored ones already
+cover, and evicts stored rows a new row covers.  The robust monitors insert
+one Δ-perturbed pattern per training row and neighbouring rows overlap
+heavily, so most of them are covered: the minimal mirror is what keeps the
+ternary and range passes proportional to the set, not to the training set.
+The pairwise cover test runs on deduplicated rows, most general first, in
+blocks bounded by the kernels' ``CHUNK_ELEMENTS`` budget; a matcher holding
+only fully specified rows never runs it.  Matcher membership equals BDD
 membership (a property the test suite pins down).
 
 Kernel selection
@@ -33,20 +51,114 @@ or JIT warm-up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ShapeError
 from .codec import TernaryPlanes, WordCodec
 from .kernels import BackendChoice, MatcherKernel, MatchPlan, resolve_matcher_backend
-from .packing import full_mask_words
+from .kernels.numpy_backend import CHUNK_ELEMENTS
+from .packing import full_mask_words, popcount
 
 __all__ = ["PackedMatcher"]
 
+#: ``cover(rows, ref)[i, j]``: row ``ref[j]`` covers row ``rows[i]``.
+CoverTest = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: Rows per block of the in-batch cover test.  Blocks run most general
+#: first and each is first filtered against the rows kept so far, so small
+#: blocks keep the quadratic in-block test small, while large ones amortise
+#: the per-call overhead.
+COVER_BLOCK = 64
+
+
+# The cover tests work on *keys*, one flat row per pattern, chosen so that
+# "row j covers row i" is one elementwise comparison of their keys:
+#
+# * a ternary row is keyed ``[ones | zeros]``, the bits it constrains to 1
+#   and to 0; row j covers row i iff both of j's bit sets lie inside i's;
+# * a code-range row is keyed ``[low | -high]``; row j covers row i iff
+#   j's key is at most i's everywhere.
+def _ternary_cover(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return ~(ref[None, :, :] & ~rows[:, None, :]).any(axis=2)
+
+
+def _range_cover(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return (ref[None, :, :] <= rows[:, None, :]).all(axis=2)
+
+
+def _ternary_generality(rows: np.ndarray) -> np.ndarray:
+    """Fewer constrained bits is more general."""
+    return -popcount(rows).sum(axis=1)
+
+
+def _range_generality(rows: np.ndarray) -> np.ndarray:
+    """Wider boxes are more general (the key sum is minus the total width)."""
+    return -rows.sum(axis=1)
+
+
+def _unique_rows(rows: np.ndarray):
+    """Distinct rows in row-lexicographic order (column 0 first), and the
+    index of each one's first occurrence."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    distinct = np.ones(rows.shape[0], dtype=bool)
+    distinct[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return ordered[distinct], order[distinct]
+
+
+def _covered(rows: np.ndarray, ref: np.ndarray, cover: CoverTest) -> np.ndarray:
+    """``out[i]``: some row of ``ref`` covers ``rows[i]`` (chunked)."""
+    out = np.zeros(rows.shape[0], dtype=bool)
+    if rows.shape[0] == 0 or ref.shape[0] == 0:
+        return out
+    chunk = max(1, CHUNK_ELEMENTS // (ref.shape[0] * rows.shape[1]))
+    for start in range(0, rows.shape[0], chunk):
+        out[start : start + chunk] = cover(rows[start : start + chunk], ref).any(axis=1)
+    return out
+
+
+def _maximal_new_rows(
+    rows: np.ndarray,
+    stored: np.ndarray,
+    cover: CoverTest,
+    generality: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Mask of the batch rows a minimal mirror must add.
+
+    A row is kept when it is the first of its duplicates, no stored row
+    covers it and no other batch row covers it.
+    """
+    keep = np.zeros(rows.shape[0], dtype=bool)
+    if rows.shape[0] == 0:
+        return keep
+    first = np.sort(_unique_rows(rows)[1])
+    first = first[~_covered(rows[first], stored, cover)]
+    # Most general first: only a row at least as general can cover another,
+    # and two distinct rows equally general never cover each other, so a
+    # row that survives its block is never covered by a later block.
+    order = first[np.argsort(-generality(rows[first]), kind="stable")]
+    block = max(1, min(COVER_BLOCK, math.isqrt(CHUNK_ELEMENTS // rows.shape[1])))
+    kept = np.zeros(0, dtype=np.intp)
+    for start in range(0, order.shape[0], block):
+        index = order[start : start + block]
+        index = index[~_covered(rows[index], rows[kept], cover)]
+        inner = cover(rows[index], rows[index])
+        np.fill_diagonal(inner, False)
+        kept = np.concatenate([kept, index[~inner.any(axis=1)]])
+    keep[kept] = True
+    return keep
+
+
+def _evict_and_add(stored: np.ndarray, added: np.ndarray, cover: CoverTest) -> np.ndarray:
+    """``stored`` without the rows ``added`` covers, followed by ``added``."""
+    return np.vstack([stored[~_covered(stored, added, cover)], added])
+
 
 class PackedMatcher:
-    """Vectorised membership mirror of a pattern set.
+    """Vectorised, minimal membership mirror of a pattern set.
 
     Parameters
     ----------
@@ -67,18 +179,19 @@ class PackedMatcher:
         self.word_codec = word_codec
         self._backend_choice: BackendChoice = backend
         self._kernel: Optional[MatcherKernel] = None
-        self._exact_rows: set = set()
-        self._ternary_values: List[np.ndarray] = []
-        self._ternary_masks: List[np.ndarray] = []
-        # Raw single-row inserts (lists of machine-word ints) are queued here
-        # and consolidated lazily so per-sample insertion stays O(1) cheap.
+        num_words = word_codec.num_words
+        # Fully specified rows, deduplicated and row-sorted (word 0 first);
+        # ternary and range rows as their cover keys (see above).
+        self._exact = np.zeros((0, num_words), dtype=np.uint64)
+        self._ternary = np.zeros((0, 2 * num_words), dtype=np.uint64)
+        self._ranges = np.zeros((0, 2 * word_codec.num_positions), dtype=np.int64)
+        # Single-row inserts (row bytes / machine-word int lists) are queued
+        # here and minimised together on the next bulk insert or query, so
+        # per-sample insertion stays O(1) cheap.
+        self._pending_exact: List[bytes] = []
         self._pending_values: List[Sequence[int]] = []
         self._pending_masks: List[Sequence[int]] = []
-        self._range_low: List[np.ndarray] = []
-        self._range_high: List[np.ndarray] = []
-        self._exact_stacked: Optional[np.ndarray] = None
-        self._ternary_stacked: Optional[TernaryPlanes] = None
-        self._range_stacked: Optional[tuple] = None
+        self._plan: Optional[MatchPlan] = None
         self._full_mask_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -103,46 +216,53 @@ class PackedMatcher:
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def add_exact_packed(self, packed: np.ndarray) -> None:
-        """Mirror a batch of fully specified packed words."""
+    def add_exact_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Mirror a batch of fully specified packed words.
+
+        Returns a boolean mask over the batch rows: True for the rows the
+        mirror now stores (first of their duplicates, not stored already,
+        not covered by a stored ternary or range row).
+        """
         packed = np.ascontiguousarray(packed, dtype=np.uint64)
         if packed.ndim != 2 or packed.shape[1] != self.word_codec.num_words:
             raise ShapeError("packed rows do not match the codec word width")
-        for row in packed:
-            self._exact_rows.add(row.tobytes())
-        self._exact_stacked = None
+        self._consolidate_pending()
+        return self._insert_exact(packed)
 
     def add_exact_bytes(self, row_bytes: bytes) -> None:
-        """Mirror one fully specified word given as little-endian row bytes."""
-        self._exact_rows.add(row_bytes)
-        self._exact_stacked = None
+        """Queue one fully specified word given as little-endian row bytes."""
+        self._pending_exact.append(row_bytes)
+        self._plan = None
 
     def add_ternary_raw(
         self, value_words: Sequence[int], mask_words: Sequence[int]
     ) -> None:
-        """Mirror one ternary word given as raw machine-word integer lists."""
+        """Queue one ternary word given as raw machine-word integer lists."""
         self._pending_values.append(value_words)
         self._pending_masks.append(mask_words)
-        self._ternary_stacked = None
+        self._plan = None
 
-    def add_ternary(self, planes: TernaryPlanes) -> None:
-        """Mirror a batch of ternary words given as value/mask bit-planes."""
+    def add_ternary(self, planes: TernaryPlanes) -> np.ndarray:
+        """Mirror a batch of ternary words given as value/mask bit-planes.
+
+        Fully constrained rows are plain words and go to the exact rows.
+        Returns a boolean mask over the batch rows: True for the rows the
+        mirror now stores.
+        """
         values = np.ascontiguousarray(planes.values, dtype=np.uint64)
         masks = np.ascontiguousarray(planes.masks, dtype=np.uint64)
-        if values.shape[1] != self.word_codec.num_words:
+        if values.shape[1] != self.word_codec.num_words or values.shape != masks.shape:
             raise ShapeError("ternary planes do not match the codec word width")
-        # Fully constrained rows are plain words: route them to the hash set.
-        full_mask = self._full_mask()
-        fully = np.all(masks == full_mask[None, :], axis=1)
-        if np.any(fully):
-            self.add_exact_packed(values[fully])
-        if np.any(~fully):
-            self._ternary_values.extend(values[~fully])
-            self._ternary_masks.extend(masks[~fully])
-            self._ternary_stacked = None
+        self._consolidate_pending()
+        return self._insert_ternary(values, masks)
 
-    def add_code_ranges(self, low_codes: np.ndarray, high_codes: np.ndarray) -> None:
-        """Mirror a batch of per-position code-range words."""
+    def add_code_ranges(self, low_codes: np.ndarray, high_codes: np.ndarray) -> np.ndarray:
+        """Mirror a batch of per-position code-range words.
+
+        Point ranges are plain words and go to the exact rows.  Returns a
+        boolean mask over the batch rows: True for the rows the mirror now
+        stores.
+        """
         low_codes = np.atleast_2d(np.asarray(low_codes, dtype=np.int64))
         high_codes = np.atleast_2d(np.asarray(high_codes, dtype=np.int64))
         if (
@@ -150,69 +270,121 @@ class PackedMatcher:
             or low_codes.shape[1] != self.word_codec.num_positions
         ):
             raise ShapeError("code-range matrices do not match the codec layout")
+        self._consolidate_pending()
         point = np.all(low_codes == high_codes, axis=1)
+        keep = np.zeros(low_codes.shape[0], dtype=bool)
+        if not np.all(point):
+            keys = np.hstack([low_codes[~point], -high_codes[~point]])
+            new = _maximal_new_rows(keys, self._ranges, _range_cover, _range_generality)
+            if np.any(new):
+                self._ranges = _evict_and_add(self._ranges, keys[new], _range_cover)
+                self._exact = self._exact[
+                    ~self._exact_covered_by(self._exact, ranges=keys[new])
+                ]
+                self._plan = None
+            keep[~point] = new
         if np.any(point):
-            self.add_exact_packed(self.word_codec.pack_codes(low_codes[point]))
-        if np.any(~point):
-            self._range_low.extend(low_codes[~point])
-            self._range_high.extend(high_codes[~point])
-            self._range_stacked = None
+            keep[point] = self._insert_exact(self.word_codec.pack_codes(low_codes[point]))
+        return keep
+
+    def _insert_ternary(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        fully = np.all(masks == self._full_mask()[None, :], axis=1)
+        keep = np.zeros(values.shape[0], dtype=bool)
+        if not np.all(fully):
+            ones = values[~fully] & masks[~fully]
+            keys = np.hstack([ones, masks[~fully] & ~ones])
+            new = _maximal_new_rows(keys, self._ternary, _ternary_cover, _ternary_generality)
+            if np.any(new):
+                self._ternary = _evict_and_add(self._ternary, keys[new], _ternary_cover)
+                self._exact = self._exact[
+                    ~self._exact_covered_by(self._exact, ternary=keys[new])
+                ]
+                self._plan = None
+            keep[~fully] = new
+        if np.any(fully):
+            keep[fully] = self._insert_exact(values[fully])
+        return keep
+
+    def _insert_exact(self, packed: np.ndarray) -> np.ndarray:
+        keep = np.zeros(packed.shape[0], dtype=bool)
+        candidates = np.nonzero(
+            ~self._exact_covered_by(packed, ternary=self._ternary, ranges=self._ranges)
+        )[0]
+        if candidates.size == 0:
+            return keep
+        stored = self._exact.shape[0]
+        # Stored rows come first and the sort is stable, so the first
+        # occurrences past ``stored`` are exactly the new distinct rows.
+        merged, first = _unique_rows(np.vstack([self._exact, packed[candidates]]))
+        new = candidates[first[first >= stored] - stored]
+        if new.size:
+            keep[new] = True
+            self._exact = merged
+            self._plan = None
+        return keep
+
+    def _exact_covered_by(
+        self,
+        packed: np.ndarray,
+        ternary: Optional[np.ndarray] = None,
+        ranges: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``out[i]``: one of the ternary or range keys matches exact row ``i``."""
+        covered = np.zeros(packed.shape[0], dtype=bool)
+        if packed.shape[0] and ternary is not None and ternary.shape[0]:
+            zeros = self._full_mask()[None, :] & ~packed
+            covered |= _covered(np.hstack([packed, zeros]), ternary, _ternary_cover)
+        if packed.shape[0] and ranges is not None and ranges.shape[0]:
+            codes = self.word_codec.unpack_codes(packed)
+            covered |= _covered(np.hstack([codes, -codes]), ranges, _range_cover)
+        return covered
 
     def export_state(self) -> Dict[str, np.ndarray]:
-        """Flat-array image of every mirrored entry (for persistence).
+        """Flat-array image of the minimal mirror (for persistence).
 
         Returns little-endian ``uint64`` matrices for the exact rows and
         ternary value/mask planes, and ``int64`` matrices for the code
         ranges — exactly the structures :meth:`add_exact_packed` /
         :meth:`add_ternary` / :meth:`add_code_ranges` accept, so a matcher
         (and through it a whole pattern set) can be rebuilt without
-        re-deriving anything.  Exact rows are sorted for a deterministic
+        re-deriving anything.  Exact rows are row-sorted for a deterministic
         image, and every returned array is a copy: mutating the exported
         state can never corrupt the live matcher.
         """
+        plan = self.match_plan()
         num_words = self.word_codec.num_words
-        if self._exact_rows:
-            exact = np.frombuffer(
-                b"".join(sorted(self._exact_rows)), dtype="<u8"
-            ).reshape(-1, num_words)
-        else:
-            exact = np.zeros((0, num_words), dtype="<u8")
-        ternary = self._ternary_arrays()
-        if ternary is not None:
-            values = ternary.values.astype("<u8", copy=True)
-            masks = ternary.masks.astype("<u8", copy=True)
-        else:
-            values = np.zeros((0, num_words), dtype="<u8")
-            masks = np.zeros((0, num_words), dtype="<u8")
-        ranges = self._range_arrays()
-        if ranges is not None:
-            range_low = np.array(ranges[0], dtype=np.int64)
-            range_high = np.array(ranges[1], dtype=np.int64)
-        else:
-            range_low = np.zeros((0, self.word_codec.num_positions), dtype=np.int64)
-            range_high = np.zeros((0, self.word_codec.num_positions), dtype=np.int64)
+        num_positions = self.word_codec.num_positions
+        ternary = plan.ternary
         return {
-            "exact": exact,
-            "ternary_values": values,
-            "ternary_masks": masks,
-            "range_low": range_low,
-            "range_high": range_high,
+            "exact": self._exact.astype("<u8", copy=True),
+            "ternary_values": (
+                ternary.values.astype("<u8", copy=True)
+                if ternary is not None
+                else np.zeros((0, num_words), dtype="<u8")
+            ),
+            "ternary_masks": (
+                ternary.masks.astype("<u8", copy=True)
+                if ternary is not None
+                else np.zeros((0, num_words), dtype="<u8")
+            ),
+            "range_low": self._ranges[:, :num_positions].copy(),
+            "range_high": -self._ranges[:, num_positions:],
         }
 
     def merge(self, other: "PackedMatcher") -> None:
-        """Fold another matcher's entries into this one (set union)."""
+        """Fold another matcher's entries into this one (set union).
+
+        The other matcher's rows go through the ordinary inserts, so the
+        result is minimal again.
+        """
         if other.word_codec.num_bits != self.word_codec.num_bits:
             raise ShapeError("cannot merge matchers with different word widths")
-        self._exact_rows |= other._exact_rows
-        self._ternary_values.extend(other._ternary_values)
-        self._ternary_masks.extend(other._ternary_masks)
-        self._pending_values.extend(other._pending_values)
-        self._pending_masks.extend(other._pending_masks)
-        self._range_low.extend(other._range_low)
-        self._range_high.extend(other._range_high)
-        self._exact_stacked = None
-        self._ternary_stacked = None
-        self._range_stacked = None
+        state = other.export_state()
+        self.add_ternary(
+            TernaryPlanes(values=state["ternary_values"], masks=state["ternary_masks"])
+        )
+        self.add_code_ranges(state["range_low"], state["range_high"])
+        self.add_exact_packed(state["exact"])
 
     # ------------------------------------------------------------------
     # queries
@@ -223,71 +395,55 @@ class PackedMatcher:
         return self._full_mask_cache
 
     def _consolidate_pending(self) -> None:
-        if not self._pending_values:
-            return
-        self._ternary_values.extend(
-            np.array(self._pending_values, dtype=np.uint64)
-        )
-        self._ternary_masks.extend(np.array(self._pending_masks, dtype=np.uint64))
-        self._pending_values = []
-        self._pending_masks = []
-
-    def _exact_arrays(self) -> Optional[np.ndarray]:
-        """Deduplicated exact rows in row-lexicographic (word 0 first) order."""
-        if not self._exact_rows:
-            return None
-        if self._exact_stacked is None:
-            rows = np.frombuffer(
-                b"".join(self._exact_rows), dtype=np.uint64
-            ).reshape(-1, self.word_codec.num_words)
-            # np.lexsort sorts by its *last* key first: feed the columns
-            # reversed so word 0 is the primary key (what the compiled
-            # kernel's binary search expects).
-            order = np.lexsort(tuple(rows[:, w] for w in reversed(range(rows.shape[1]))))
-            self._exact_stacked = np.ascontiguousarray(rows[order])
-        return self._exact_stacked
-
-    def _ternary_arrays(self) -> Optional[TernaryPlanes]:
-        self._consolidate_pending()
-        if not self._ternary_values:
-            return None
-        if self._ternary_stacked is None:
-            self._ternary_stacked = TernaryPlanes(
-                values=np.vstack(self._ternary_values),
-                masks=np.vstack(self._ternary_masks),
+        """Minimise the queued single-row inserts into the mirror."""
+        if self._pending_values:
+            values = np.array(self._pending_values, dtype=np.uint64)
+            masks = np.array(self._pending_masks, dtype=np.uint64)
+            self._pending_values = []
+            self._pending_masks = []
+            self._insert_ternary(values, masks)
+        if self._pending_exact:
+            rows = np.frombuffer(b"".join(self._pending_exact), dtype="<u8")
+            self._pending_exact = []
+            self._insert_exact(
+                rows.astype(np.uint64).reshape(-1, self.word_codec.num_words)
             )
-        return self._ternary_stacked
-
-    def _range_arrays(self) -> Optional[tuple]:
-        if not self._range_low:
-            return None
-        if self._range_stacked is None:
-            self._range_stacked = (
-                np.vstack(self._range_low),
-                np.vstack(self._range_high),
-            )
-        return self._range_stacked
 
     @property
     def is_empty(self) -> bool:
         """True when no entry of any type has been mirrored yet."""
         return not (
-            self._exact_rows
-            or self._ternary_values
+            self._exact.shape[0]
+            or self._ternary.shape[0]
+            or self._ranges.shape[0]
+            or self._pending_exact
             or self._pending_values
-            or self._range_low
         )
 
     def match_plan(self) -> MatchPlan:
         """Consolidated kernel-ready image of the matcher's current state."""
-        ranges = self._range_arrays()
-        return MatchPlan(
-            word_codec=self.word_codec,
-            exact=self._exact_arrays(),
-            ternary=self._ternary_arrays(),
-            range_low=ranges[0] if ranges is not None else None,
-            range_high=ranges[1] if ranges is not None else None,
-        )
+        self._consolidate_pending()
+        if self._plan is None:
+            num_words = self.word_codec.num_words
+            num_positions = self.word_codec.num_positions
+            ternary = range_low = range_high = None
+            if self._ternary.shape[0]:
+                ones = self._ternary[:, :num_words]
+                ternary = TernaryPlanes(
+                    values=np.ascontiguousarray(ones),
+                    masks=ones | self._ternary[:, num_words:],
+                )
+            if self._ranges.shape[0]:
+                range_low = np.ascontiguousarray(self._ranges[:, :num_positions])
+                range_high = -self._ranges[:, num_positions:]
+            self._plan = MatchPlan(
+                word_codec=self.word_codec,
+                exact=self._exact if self._exact.shape[0] else None,
+                ternary=ternary,
+                range_low=range_low,
+                range_high=range_high,
+            )
+        return self._plan
 
     def contains_packed(
         self, packed: np.ndarray, codes: Optional[np.ndarray] = None
@@ -314,15 +470,20 @@ class PackedMatcher:
     # ------------------------------------------------------------------
     @property
     def num_exact(self) -> int:
-        return len(self._exact_rows)
+        """Fully specified rows stored (after minimisation)."""
+        self._consolidate_pending()
+        return int(self._exact.shape[0])
 
     @property
     def num_ternary(self) -> int:
-        return len(self._ternary_values) + len(self._pending_values)
+        """Ternary rows stored (after minimisation)."""
+        self._consolidate_pending()
+        return int(self._ternary.shape[0])
 
     @property
     def num_ranges(self) -> int:
-        return len(self._range_low)
+        """Code-range rows stored (after minimisation)."""
+        return int(self._ranges.shape[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -80,7 +80,12 @@ class ScoringClient:
                 raise RemoteScoringError("this client has been closed")
             if self._sock is not None:
                 return self
-            sock = socket.create_connection(self.address, timeout=self.timeout)
+            try:
+                sock = socket.create_connection(self.address, timeout=self.timeout)
+            except OSError as exc:
+                raise RemoteScoringError(
+                    f"cannot connect to {self.address[0]}:{self.address[1]}: {exc}"
+                ) from exc
             sock.settimeout(None)  # the reader blocks; timeouts are per-future
             self._sock = sock
             self._reader = threading.Thread(
@@ -128,6 +133,7 @@ class ScoringClient:
         with self._lock:
             if self._sock is sock:  # a newer connection may already exist
                 self._sock = None
+        sock.close()  # this reader is the dead socket's last user
         self._fail_pending(error)
 
     def _handle_frame(self, frame: protocol.Frame) -> None:

@@ -230,3 +230,24 @@ class TestIterationAndUnion:
             patterns.bit_index(2, 0)
         with pytest.raises(ConfigurationError):
             patterns.bit_index(0, 2)
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_walks_on_sets_wider_than_the_recursion_limit(bits):
+    """dag_size, cardinality and iterate_words are iterative walks."""
+    num_positions = 2048 // bits + 1
+    rng = np.random.default_rng(bits)
+    words = rng.integers(0, 1 << bits, size=(3, num_positions))
+    patterns = PatternSet(num_positions, bits_per_position=bits)
+    patterns.add_patterns(words)
+    assert patterns.num_bits >= 2048
+    assert patterns.cardinality() == 3
+    assert patterns.dag_size() >= patterns.num_bits
+    assert sorted(patterns.iterate_words()) == sorted(map(tuple, words.tolist()))
+    low = np.zeros((1, num_positions), dtype=np.int64)
+    high = np.ones((1, num_positions), dtype=np.int64)
+    patterns.add_range_patterns(low, high)
+    assert patterns.cardinality() == 3 + 2**num_positions - sum(
+        bool(np.all(word <= 1)) for word in words
+    )
+    assert len(list(patterns.iterate_words(limit=5))) == 5

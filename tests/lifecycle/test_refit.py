@@ -8,6 +8,8 @@ that refitting a format-2-restored monitor extends the packed mirror
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd.patterns import PatternSet
 from repro.exceptions import LifecycleStateError
@@ -18,9 +20,10 @@ from repro.lifecycle import (
     refit_monitor,
 )
 from repro.monitors import monitor_fingerprint
-from repro.monitors.boolean import BooleanPatternMonitor
-from repro.monitors.interval import IntervalPatternMonitor
+from repro.monitors.boolean import BooleanPatternMonitor, RobustBooleanPatternMonitor
+from repro.monitors.interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
 from repro.monitors.minmax import MinMaxMonitor
+from repro.monitors.perturbation import PerturbationSpec
 from repro.monitors.thresholds import mean_thresholds, percentile_thresholds
 
 from .conftest import LAYER
@@ -69,6 +72,49 @@ def test_incremental_refit_is_bit_identical_to_from_scratch(
     np.testing.assert_array_equal(
         refit.warn_batch(probe_frames), scratch.warn_batch(probe_frames)
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    split=st.integers(min_value=1, max_value=23),
+    delta=st.sampled_from([0.01, 0.05, 0.2]),
+    family=st.sampled_from(["boolean", "interval"]),
+)
+def test_robust_incremental_refit_is_bit_identical_and_minimal(
+    tiny_network, seed, split, delta, family
+):
+    """Robust monitors evict and drop covered rows on refit, yet the refit
+    mirror is exactly the minimal mirror of a from-scratch fit."""
+    rng = np.random.default_rng(seed)
+    inputs = rng.uniform(-1.0, 1.0, size=(24, 6))
+    part_a, part_b = inputs[:split], inputs[split:]
+    spec = PerturbationSpec(delta=delta, layer=0, method="box")
+    activations = MinMaxMonitor(tiny_network, LAYER).features(part_a)
+    if family == "boolean":
+        thresholds = mean_thresholds(activations, 1)[:, 0]
+
+        def build():
+            return RobustBooleanPatternMonitor(
+                tiny_network, LAYER, spec, thresholds=thresholds
+            )
+
+    else:
+        cut_points = percentile_thresholds(activations, 3)
+
+        def build():
+            return RobustIntervalPatternMonitor(
+                tiny_network, LAYER, spec, num_cuts=3, cut_points=cut_points
+            )
+
+    refit = incremental_refit(build().fit(part_a), part_b)
+    scratch = build().fit(inputs)
+    assert monitor_fingerprint(refit) == monitor_fingerprint(scratch)
+    refit_state = refit.patterns.packed_state()
+    for key, value in scratch.patterns.packed_state().items():
+        np.testing.assert_array_equal(refit_state[key], value)
+    probes = rng.uniform(-1.5, 1.5, size=(64, 6))
+    np.testing.assert_array_equal(refit.warn_batch(probes), scratch.warn_batch(probes))
 
 
 def test_incremental_refit_never_mutates_the_original(tiny_network, split_inputs, probe_frames):

@@ -184,6 +184,26 @@ class TestReconnect:
         with pytest.raises(RemoteScoringError):
             client.score(np.ones((1, 6)))
 
+    @pytest.mark.parametrize("auto_reconnect", [True, False])
+    def test_refused_dial_raises_typed_error(self, auto_reconnect):
+        # A port that was bound and released has no listener: dialing it is
+        # refused at once, deterministically.
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        address = probe.getsockname()
+        probe.close()
+        client = ScoringClient(address, timeout=5, auto_reconnect=auto_reconnect)
+        try:
+            with pytest.raises(RemoteScoringError):
+                client.connect()
+            with pytest.raises(RemoteScoringError):
+                client.ping()
+            with pytest.raises(RemoteScoringError):
+                client.score_async(np.ones((1, 6)))
+            assert not client.is_connected
+        finally:
+            client.close()
+
     def test_closed_client_refuses_requests(self, server):
         client = ScoringClient(server.address)
         client.connect()
