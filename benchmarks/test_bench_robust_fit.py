@@ -16,6 +16,13 @@ A robust monitor is also judged by what it costs to *score* with: one
 mirror keeps only the rows that add coverage.  ``robust_interval_warn_n256``
 gates robust interval ``warn_batch`` on 256 track frames, where the range
 pass dominates.
+
+Pattern fits and Hamming relaxation run on the packed mirror alone (the BDD
+is built only on demand).  ``wide_pattern_fit_n256`` gates a Boolean plus a
+5-cut interval fit on a 512-wide layer, whose 1536-bit interval words made
+one BDD cube per row the whole fit cost before; ``boolean_hamming_g1_n256``
+gates Boolean ``warn_batch`` with Hamming tolerance 1 on 256 track frames,
+one minimum-distance pass over the mirror for the batch's misses.
 """
 
 import os
@@ -25,8 +32,8 @@ import numpy as np
 import pytest
 
 from repro.eval.reporting import format_table
-from repro.monitors.boolean import RobustBooleanPatternMonitor
-from repro.monitors.interval import RobustIntervalPatternMonitor
+from repro.monitors.boolean import BooleanPatternMonitor, RobustBooleanPatternMonitor
+from repro.monitors.interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
 from repro.monitors.minmax import RobustMinMaxMonitor
 from repro.monitors.perturbation import (
     PerturbationSpec,
@@ -46,6 +53,9 @@ STAR_SIZE = 32
 #: Box Δ of the track experiments (``benchmarks/conftest.py``).
 TRACK_DELTA = 0.002
 WARN_FRAMES = 256
+#: The wide layer of the serving experiments (E13): 32 → 512 → 512 → 256 → 8.
+WIDE_DIMS = (32, (512, 512, 256), 8)
+WIDE_ROWS = 256
 #: Only the largest size feeds the CI perf gate: its timings are big enough
 #: to sit well clear of timer/scheduler jitter at the 25% threshold.  Smaller
 #: sizes are still recorded with a "_" prefix (informational, not gated).
@@ -183,6 +193,14 @@ def test_robust_monitor_fit_wall_time(bench_record, fit_network, fit_inputs, fam
     print(format_table(["n", "fit_ms"], rows))
 
 
+def _track_frames(track_workload):
+    sources = [track_workload.in_odd_eval.inputs] + [
+        data.inputs for data in track_workload.out_of_odd_eval.values()
+    ]
+    pool = np.vstack(sources)
+    return pool[np.arange(WARN_FRAMES) % pool.shape[0]]
+
+
 @pytest.mark.benchmark(group="E10-robust-fit-scaling")
 def test_robust_interval_warn_batch(bench_record, track_workload, track_layer):
     """Robust interval scoring on track frames, watched by the perf gate."""
@@ -191,11 +209,7 @@ def test_robust_interval_warn_batch(bench_record, track_workload, track_layer):
     monitor = RobustIntervalPatternMonitor(
         track_workload.network, track_layer, spec, num_cuts=3
     ).fit(train)
-    sources = [track_workload.in_odd_eval.inputs] + [
-        data.inputs for data in track_workload.out_of_odd_eval.values()
-    ]
-    pool = np.vstack(sources)
-    frames = pool[np.arange(WARN_FRAMES) % pool.shape[0]]
+    frames = _track_frames(track_workload)
     name = f"robust_interval_warn_n{WARN_FRAMES}"
     warns = bench_record.measure(
         name, lambda: monitor.warn_batch(frames), repeats=5, inner=20
@@ -215,4 +229,59 @@ def test_robust_interval_warn_batch(bench_record, track_workload, track_layer):
         f"{bench_record.timings[name] * 1e3:.3f} ms "
         f"({state['range_low'].shape[0]} range + {state['exact'].shape[0]} exact rows "
         f"from {monitor.patterns.insertions} inserted)"
+    )
+
+
+@pytest.mark.benchmark(group="E10-robust-fit-scaling")
+def test_wide_pattern_fit(bench_record):
+    """Boolean + 5-cut interval fit on a 512-wide layer, watched by the gate."""
+    from repro.nn.network import mlp
+
+    input_dim, hidden, outputs = WIDE_DIMS
+    network = mlp(input_dim, list(hidden), outputs, activation="relu", seed=13)
+    rows = np.random.default_rng(13).uniform(-1.0, 1.0, size=(WIDE_ROWS, input_dim))
+
+    def fit_both():
+        return (
+            BooleanPatternMonitor(network, 2, thresholds="mean").fit(rows),
+            IntervalPatternMonitor(network, 2, num_cuts=5).fit(rows),
+        )
+
+    name = f"wide_pattern_fit_n{WIDE_ROWS}"
+    monitors = bench_record.measure(name, fit_both, repeats=5, inner=3)
+    for monitor in monitors:
+        assert not monitor.patterns.bdd_materialised
+        assert not monitor.warn_batch(rows).any()
+    print(
+        f"\nE10: wide Boolean + interval fit n={WIDE_ROWS}: "
+        f"{bench_record.timings[name] * 1e3:.2f} ms"
+    )
+
+
+@pytest.mark.benchmark(group="E10-robust-fit-scaling")
+def test_boolean_hamming_warn_batch(bench_record, track_workload, track_layer):
+    """Boolean ``warn_batch`` with Hamming tolerance 1, watched by the gate."""
+    train = track_workload.train.inputs
+    exact = BooleanPatternMonitor(
+        track_workload.network, track_layer, thresholds="mean"
+    ).fit(train)
+    relaxed = BooleanPatternMonitor(
+        track_workload.network, track_layer, thresholds="mean", hamming_tolerance=1
+    ).fit(train)
+    frames = _track_frames(track_workload)
+    name = f"boolean_hamming_g1_n{WARN_FRAMES}"
+    warns = bench_record.measure(
+        name, lambda: relaxed.warn_batch(frames), repeats=5, inner=20
+    )
+    exact_warns = exact.warn_batch(frames)
+    misses = int(exact_warns.sum())
+    bench_record.annotate(name, exact_misses=misses, relaxed_warns=int(warns.sum()))
+    assert warns.shape == (WARN_FRAMES,)
+    assert not relaxed.patterns.bdd_materialised
+    # The tolerance only ever accepts more frames.
+    assert not np.any(warns & ~exact_warns)
+    print(
+        f"\nE10: Boolean warn_batch, Hamming tolerance 1, n={WARN_FRAMES}: "
+        f"{bench_record.timings[name] * 1e3:.3f} ms "
+        f"({misses} exact misses, {int(warns.sum())} still warned)"
     )

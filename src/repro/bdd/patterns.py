@@ -1,4 +1,4 @@
-"""Activation-pattern sets stored in BDDs with a vectorised packed mirror.
+"""Activation-pattern sets: a minimal packed mirror with a BDD derived on demand.
 
 Monitors built from Boolean (one bit per neuron) or interval (multiple bits
 per neuron) abstractions need a set data structure over fixed-width binary
@@ -14,21 +14,26 @@ words that supports:
 * membership queries (single word or a whole batch at once),
   Hamming-distance-relaxed membership, cardinality and size introspection.
 
-Two synchronised representations back the set.  The **BDD** (via
-:class:`~repro.bdd.manager.BDDManager`) is canonical: model counting, DAG
-size and Hamming relaxation come from it, and bits map to BDD variables in
-word order (bit 0 of neuron 0 first), matching the paper's example encoding
-``(¬b10) ∧ (b20 ∨ b21) ∧ …``.  The **packed mirror**
-(:class:`~repro.runtime.matcher.PackedMatcher`) stores the same patterns as
-flat NumPy structures and answers :meth:`PatternSet.contains_batch` with a
-few broadcast kernels instead of one BDD walk per row.  The mirror is kept
-minimal — no stored row is covered by another — and the bulk inserts write
-it *first*: only the rows it keeps are built into BDD cubes, since every
-dropped row lies inside a row the BDD already holds or is about to.  The
-mirror's words are always a subset of the BDD's; if a pattern ever cannot be
-mirrored exactly (a non-contiguous admissible code set), the mirror degrades
-to a sound pre-filter and batched queries fall back to the BDD for
-unresolved rows.
+The set *is* its **packed mirror** (:class:`~repro.runtime.matcher.PackedMatcher`):
+exact rows, ternary value/mask planes and per-position code ranges, kept
+minimal (no stored row is covered by another).  Every insert writes the
+mirror only, and the mirror answers batched membership
+(:meth:`PatternSet.contains_batch`) and Hamming relaxation
+(:meth:`PatternSet.min_distance_batch`) with a few vectorised passes.
+
+The **BDD** (via :class:`~repro.bdd.manager.BDDManager`) is a cache derived
+from the mirror.  Bits map to BDD variables in word order (bit 0 of neuron 0
+first), matching the paper's example encoding ``(¬b10) ∧ (b20 ∨ b21) ∧ …``.
+Any insert marks the cached BDD stale, and the next BDD-dependent call —
+:meth:`~PatternSet.cardinality` (beyond an exact-only mirror),
+:meth:`~PatternSet.dag_size`, :meth:`~PatternSet.iterate_words`,
+:meth:`~PatternSet.contains` or :attr:`~PatternSet.root` — rebuilds it by
+replaying all of the mirror's rows (a whole rebuild per stale call, so
+alternating inserts with such calls pays one each time).  ROBDDs are canonical, so the rebuilt BDD is
+node for node the one an eager build of every inserted row gives.  A
+non-contiguous admissible code set cannot be mirrored; such rows are kept
+apart, OR-ed into the BDD when it is built, and batched queries then fall
+back to the BDD for the rows the mirror leaves unresolved.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..runtime.codec import TernaryPlanes, WordCodec
 from ..runtime.matcher import PackedMatcher
-from ..runtime.packing import unpack_bool_matrix
+from ..runtime.packing import pack_bool_matrix, unpack_bool_matrix
 from .manager import FALSE, BDDManager
 
 __all__ = ["TernarySymbol", "PatternSet", "DONT_CARE"]
@@ -53,7 +58,7 @@ TernarySymbol = object  # 0, 1 or DONT_CARE
 
 
 class PatternSet:
-    """A set of fixed-width binary words represented as a BDD.
+    """A set of fixed-width binary words: a packed mirror plus a derived BDD.
 
     Parameters
     ----------
@@ -86,14 +91,13 @@ class PatternSet:
         self.manager = BDDManager(self.num_bits)
         self.codec = WordCodec(self.num_positions, self.bits_per_position)
         self._matcher = PackedMatcher(self.codec, backend=matcher_backend)
-        self._mirror_complete = True
+        # Non-contiguous add_code_sets rows, which the mirror cannot hold.
+        self._extra_code_sets: List[List[List[int]]] = []
         self._root = FALSE
         self._insertions = 0
-        # True while the canonical BDD lags behind the packed mirror (lazy
-        # cold start; see from_packed_state).  While deferred, insertions go
-        # to the mirror only and _ensure_bdd replays the *whole* mirror on
-        # first BDD-dependent use — so incremental refit of a format-2
-        # restored set never pays a BDD build it does not need.
+        # True while the cached BDD lags behind the set.  Every insert sets
+        # it, and _ensure_bdd rebuilds the BDD on the next BDD-dependent use,
+        # so fit, load and refit never pay a BDD build they do not need.
         self._bdd_deferred = False
 
     # ------------------------------------------------------------------
@@ -111,26 +115,9 @@ class PatternSet:
             )
         return position * self.bits_per_position + bit
 
-    def _code_bits(self, code: int) -> Tuple[bool, ...]:
-        """MSB-first bit tuple of an integer code for one position."""
-        if not 0 <= code < (1 << self.bits_per_position):
-            raise ConfigurationError(
-                f"code {code} does not fit in {self.bits_per_position} bits"
-            )
-        return tuple(
-            bool((code >> (self.bits_per_position - 1 - bit)) & 1)
-            for bit in range(self.bits_per_position)
-        )
-
     def _word_to_assignment(self, word: Sequence[int]) -> List[bool]:
-        if len(word) != self.num_positions:
-            raise ConfigurationError(
-                f"word has {len(word)} positions, expected {self.num_positions}"
-            )
-        assignment: List[bool] = []
-        for code in word:
-            assignment.extend(self._code_bits(int(code)))
-        return assignment
+        """MSB-first bit assignment of one code word (validated)."""
+        return self.codec.code_bits(self._validate_code_matrix([list(word)]))[0].tolist()
 
     def _validate_code_matrix(self, words: np.ndarray) -> np.ndarray:
         words = np.atleast_2d(np.asarray(words, dtype=np.int64))
@@ -152,8 +139,22 @@ class PatternSet:
     # ------------------------------------------------------------------
     @property
     def bdd_materialised(self) -> bool:
-        """False while a packed-state restore has not been replayed yet."""
+        """False while the cached BDD lags behind an insert."""
         return not self._bdd_deferred
+
+    @property
+    def _mirror_complete(self) -> bool:
+        """True when the packed mirror alone holds the whole set."""
+        return not self._extra_code_sets
+
+    @property
+    def stored_rows(self) -> Dict[str, int]:
+        """Rows the minimal mirror stores, per row kind."""
+        return {
+            "exact": self._matcher.num_exact,
+            "ternary": self._matcher.num_ternary,
+            "ranges": self._matcher.num_ranges,
+        }
 
     def packed_state(self) -> Dict[str, np.ndarray]:
         """Flat-array image of the set, suitable for ``.npz`` persistence.
@@ -193,18 +194,13 @@ class PatternSet:
         insertions: Optional[int] = None,
         matcher_backend=None,
     ) -> "PatternSet":
-        """Rebuild a set from :meth:`packed_state` with a *lazy* BDD.
+        """Rebuild a set from :meth:`packed_state`.
 
-        The packed mirror — which answers every batched membership query —
-        is restored directly from the flat arrays, so the set can score
-        operational batches immediately.  The canonical BDD is only built
-        (replayed from the mirror itself) on first use of a BDD-dependent
-        operation: model counting, Hamming relaxation or word iteration.
-        Bulk insertions on a deferred set extend the mirror *without*
-        triggering the replay — that is what makes incremental refit of a
-        deployed (format-2 restored) monitor cost array appends instead of
-        a BDD build.  Cold-starting a deployed monitor therefore pays array
-        I/O instead of one BDD build.
+        The packed mirror is restored directly from the flat arrays, so the
+        set scores operational batches immediately; like every set, it
+        builds its BDD only on first BDD-dependent use.  Cold-starting a
+        deployed monitor therefore pays array I/O, and incremental refit of
+        it pays array appends.
         """
         obj = cls(
             num_positions,
@@ -228,38 +224,42 @@ class PatternSet:
         if exact.shape[0]:
             obj._matcher.add_exact_packed(exact)
         total_rows = int(exact.shape[0] + values.shape[0] + range_low.shape[0])
-        obj._bdd_deferred = not obj._matcher.is_empty
-        obj._insertions = int(insertions) if insertions is not None else total_rows
+        obj._inserted(int(insertions) if insertions is not None else total_rows)
         return obj
 
     def _ensure_bdd(self) -> None:
-        """Replay the packed mirror into the canonical BDD when deferred.
+        """Rebuild the cached BDD when an insert has made it stale.
 
-        The replay reads the mirror's *current* exported state, so any bulk
-        insertions performed while deferred are included — the BDD always
-        materialises equal to the mirror, however late.
+        The BDD is the replay of the mirror's current rows, OR-ed with the
+        non-contiguous code-set rows the mirror cannot hold.  The rebuild is
+        whole, not incremental: the first BDD-dependent call after an insert
+        costs O(stored rows × bits), and the superseded BDD's nodes stay in
+        the manager's unique table (it is never collected).  Code that
+        alternates inserts with such calls pays a rebuild per call; fit,
+        load, refit, scoring and ``describe()`` make none.
         """
         if not self._bdd_deferred:
             return
         self._bdd_deferred = False
         state = self._matcher.export_state()
-        parts: List[int] = []
-        exact = state["exact"]
-        if exact.shape[0]:
-            bit_rows = unpack_bool_matrix(exact, self.num_bits)
-            parts.append(
-                self.manager.disjoin_balanced(
-                    [self.manager.from_assignment(list(row)) for row in bit_rows]
-                )
-            )
-        values, masks = state["ternary_values"], state["ternary_masks"]
-        if values.shape[0]:
-            parts.append(self._ternary_bdd(values, masks))
-        range_low, range_high = state["range_low"], state["range_high"]
-        if range_low.shape[0]:
-            parts.append(self._range_bdd(range_low, range_high))
-        for part in parts:
-            self._root = self.manager.apply_or(self._root, part)
+        manager, bits, num_bits = self.manager, self.bits_per_position, self.num_bits
+        values = unpack_bool_matrix(state["ternary_values"], num_bits)
+        masks = unpack_bool_matrix(state["ternary_masks"], num_bits)
+        ranges = zip(state["range_low"].tolist(), state["range_high"].tolist())
+        parts = [
+            manager.from_assignment(row.tolist())
+            for row in unpack_bool_matrix(state["exact"], num_bits)
+        ]
+        parts += [
+            manager.cube({int(index): bool(value[index]) for index in np.nonzero(mask)[0]})
+            for value, mask in zip(values, masks)
+        ]
+        parts += [
+            manager.code_sets([range(lo, hi + 1) for lo, hi in zip(low, high)], bits)
+            for low, high in ranges
+        ]
+        parts += [manager.code_sets(sets, bits) for sets in self._extra_code_sets]
+        self._root = manager.disjoin_balanced(parts)
 
     # ------------------------------------------------------------------
     # insertion
@@ -280,61 +280,35 @@ class PatternSet:
         """
         return self._insertions
 
-    def _pack_bits_python(self, true_indices: Iterable[int]) -> List[int]:
-        """Cheap single-row packer (pure-int bit twiddling, no array temps)."""
-        machine_words = [0] * self.codec.num_words
-        for index in true_indices:
-            machine_words[index >> 6] |= 1 << (index & 63)
-        return machine_words
-
-    @staticmethod
-    def _row_bytes(machine_words: Sequence[int]) -> bytes:
-        """Little-endian byte image of a packed row (the exact-set hash key)."""
-        return b"".join(word.to_bytes(8, "little") for word in machine_words)
+    def _inserted(self, rows: int) -> None:
+        """Count ``rows`` inserted rows and mark the cached BDD stale."""
+        self._insertions += rows
+        self._bdd_deferred = True
 
     def add_word(self, word: Sequence[int]) -> None:
         """Insert a fully specified word (one integer code per position)."""
-        assignment = self._word_to_assignment(word)
-        if not self._bdd_deferred:
-            cube = self.manager.from_assignment(assignment)
-            self._root = self.manager.apply_or(self._root, cube)
-        self._matcher.add_exact_bytes(
-            self._row_bytes(
-                self._pack_bits_python(
-                    index for index, bit in enumerate(assignment) if bit
-                )
-            )
-        )
-        self._insertions += 1
+        packed = self.codec.pack_codes(self._validate_code_matrix([list(word)]))
+        self._matcher.add_exact_bytes(packed.astype("<u8").tobytes())
+        self._inserted(1)
 
     def add_patterns(self, words: np.ndarray) -> None:
         """Bulk-insert a ``(N, num_positions)`` matrix of code words.
 
-        The batch is bit-packed and mirrored first; only the words the
-        mirror keeps (new, and not covered by a stored ternary or range row)
-        are unioned into the BDD, with a balanced disjunction over their
-        cubes — far cheaper than one :meth:`add_word` per sample when
-        training batches repeat patterns.
+        The batch is bit-packed in one pass and mirrored; the mirror keeps
+        only the words that are new and not covered by a stored ternary or
+        range row.
         """
         words = self._validate_code_matrix(words)
         if words.shape[0] == 0:
             return
-        packed = self.codec.pack_codes(words)
-        kept = self._matcher.add_exact_packed(packed)
-        if not self._bdd_deferred and np.any(kept):
-            bit_rows = unpack_bool_matrix(packed[kept], self.num_bits)
-            cubes = [self.manager.from_assignment(list(row)) for row in bit_rows]
-            self._root = self.manager.apply_or(
-                self._root, self.manager.disjoin_balanced(cubes)
-            )
-        self._insertions += int(words.shape[0])
+        self._matcher.add_exact_packed(self.codec.pack_codes(words))
+        self._inserted(int(words.shape[0]))
 
     def add_ternary_word(self, word: Sequence[object]) -> None:
         """Insert a ternary word of ``0`` / ``1`` / :data:`DONT_CARE` symbols.
 
         Only meaningful for ``bits_per_position == 1``; each don't-care leaves
-        the corresponding BDD variable unconstrained (the paper's
-        ``word2set``).
+        the corresponding bit unconstrained (the paper's ``word2set``).
         """
         if self.bits_per_position != 1:
             raise ConfigurationError(
@@ -344,36 +318,23 @@ class PatternSet:
             raise ConfigurationError(
                 f"word has {len(word)} positions, expected {self.num_positions}"
             )
-        literals = {}
-        value_words = [0] * self.codec.num_words
-        mask_words = [0] * self.codec.num_words
-        for position, symbol in enumerate(word):
-            if symbol == DONT_CARE:
-                continue
-            if symbol not in (0, 1, True, False):
+        for symbol in word:
+            if symbol != DONT_CARE and symbol not in (0, 1, True, False):
                 raise ConfigurationError(f"invalid ternary symbol {symbol!r}")
-            value = bool(symbol)
-            literals[position] = value
-            mask_words[position >> 6] |= 1 << (position & 63)
-            if value:
-                value_words[position >> 6] |= 1 << (position & 63)
-        if not self._bdd_deferred:
-            cube = self.manager.cube(literals)
-            self._root = self.manager.apply_or(self._root, cube)
-        if len(literals) == self.num_positions:
-            self._matcher.add_exact_bytes(self._row_bytes(value_words))
+        mask = [symbol != DONT_CARE for symbol in word]
+        value = [symbol == 1 for symbol in word]
+        values, masks = pack_bool_matrix(np.array([value, mask]))
+        if all(mask):
+            self._matcher.add_exact_bytes(values.astype("<u8").tobytes())
         else:
-            self._matcher.add_ternary_raw(value_words, mask_words)
-        self._insertions += 1
+            self._matcher.add_ternary_raw(values.tolist(), masks.tolist())
+        self._inserted(1)
 
     def add_ternary_patterns(self, planes: TernaryPlanes) -> None:
         """Bulk-insert ternary words given as value/mask bit-planes.
 
-        Each row contributes the cube over its constrained bits only — the
-        ``word2set`` trick — and the batch of cubes is unioned with a
-        balanced disjunction.  Rows the minimal mirror drops (duplicates,
-        and rows inside another row) add no words, so only the rows it
-        keeps are built into cubes.
+        Each row stands for every word agreeing with it on its constrained
+        bits — the ``word2set`` trick, with no expansion of the don't-cares.
         """
         if self.bits_per_position != 1:
             raise ConfigurationError(
@@ -385,37 +346,20 @@ class PatternSet:
             raise ConfigurationError(
                 "ternary planes do not match this pattern set's word width"
             )
-        kept = self._matcher.add_ternary(planes)
-        if not self._bdd_deferred and np.any(kept):
-            self._root = self.manager.apply_or(
-                self._root,
-                self._ternary_bdd(planes.values[kept], planes.masks[kept]),
-            )
-        self._insertions += len(planes)
-
-    def _ternary_bdd(self, values: np.ndarray, masks: np.ndarray) -> int:
-        """Balanced disjunction of the cubes of packed ternary rows."""
-        value_bits = unpack_bool_matrix(values, self.num_bits)
-        mask_bits = unpack_bool_matrix(masks, self.num_bits)
-        cubes = []
-        for value_row, mask_row in zip(value_bits, mask_bits):
-            literals = {
-                int(index): bool(value_row[index]) for index in np.nonzero(mask_row)[0]
-            }
-            cubes.append(self.manager.cube(literals))
-        return self.manager.disjoin_balanced(cubes)
+        self._matcher.add_ternary(planes)
+        self._inserted(len(planes))
 
     def add_code_sets(self, code_sets: Sequence[Iterable[int]]) -> None:
         """Insert every word whose position ``i`` code lies in ``code_sets[i]``.
 
         This is the robust interval monitor's ``word2set``: position ``i`` may
         take any code from a non-empty set (e.g. ``{01, 10}``), and the
-        inserted set is the Cartesian product of the per-position sets.  The
-        BDD is built as a conjunction over positions of per-position
-        disjunctions, so the cost is linear in the total number of listed
-        codes — never in the product.  Contiguous sets (the only kind the
-        monotone interval encoding produces) are mirrored exactly; a
-        non-contiguous set degrades batched queries to the BDD fallback.
+        inserted set is the Cartesian product of the per-position sets.
+        Contiguous sets (the only kind the monotone interval encoding
+        produces) are mirrored exactly as a code range.  A non-contiguous
+        row is kept apart and built into the BDD (a conjunction over
+        positions of per-position disjunctions, linear in the listed codes),
+        and batched queries then fall back to the BDD for mirror misses.
         """
         if len(code_sets) != self.num_positions:
             raise ConfigurationError(
@@ -428,8 +372,10 @@ class PatternSet:
                 raise ConfigurationError(
                     f"position {position} has an empty admissible code set"
                 )
-            for code in codes:
-                self._code_bits(code)  # validates the range
+            if codes[0] < 0 or codes[-1] >= 1 << self.bits_per_position:
+                raise ConfigurationError(
+                    f"codes must fit in {self.bits_per_position} bits"
+                )
             normalised.append(codes)
         contiguous = all(
             codes[-1] - codes[0] + 1 == len(codes) for codes in normalised
@@ -439,12 +385,8 @@ class PatternSet:
             high = np.array([[codes[-1] for codes in normalised]], dtype=np.int64)
             self.add_range_patterns(low, high)
             return
-        self._ensure_bdd()
-        self._root = self.manager.apply_or(
-            self._root, self.manager.code_sets(normalised, self.bits_per_position)
-        )
-        self._mirror_complete = False
-        self._insertions += 1
+        self._extra_code_sets.append(normalised)
+        self._inserted(1)
 
     def add_range_patterns(self, low_codes: np.ndarray, high_codes: np.ndarray) -> None:
         """Bulk-insert words given as per-position contiguous code ranges.
@@ -452,7 +394,6 @@ class PatternSet:
         Row ``i`` inserts the Cartesian product of the ranges
         ``low_codes[i, p] .. high_codes[i, p]`` — the robust interval
         abstraction of Section III-C for a whole training batch at once.
-        Only the rows the minimal mirror keeps are built into the BDD.
         """
         low_codes = self._validate_code_matrix(low_codes)
         high_codes = self._validate_code_matrix(high_codes)
@@ -462,43 +403,23 @@ class PatternSet:
             raise ConfigurationError("code range lower end exceeds upper end")
         if low_codes.shape[0] == 0:
             return
-        kept = self._matcher.add_code_ranges(low_codes, high_codes)
-        if not self._bdd_deferred and np.any(kept):
-            self._root = self.manager.apply_or(
-                self._root, self._range_bdd(low_codes[kept], high_codes[kept])
-            )
-        self._insertions += int(low_codes.shape[0])
-
-    def _range_bdd(self, low_codes: np.ndarray, high_codes: np.ndarray) -> int:
-        """Balanced disjunction of the BDDs of code-range rows."""
-        bits = self.bits_per_position
-        return self.manager.disjoin_balanced(
-            [
-                self.manager.code_sets(
-                    [range(low, high + 1) for low, high in zip(low_row, high_row)], bits
-                )
-                for low_row, high_row in zip(low_codes.tolist(), high_codes.tolist())
-            ]
-        )
+        self._matcher.add_code_ranges(low_codes, high_codes)
+        self._inserted(int(low_codes.shape[0]))
 
     def union(self, other: "PatternSet") -> None:
-        """In-place union with another pattern set sharing the same shape."""
+        """In-place union with another pattern set sharing the same shape.
+
+        The mirrors merge (and re-minimise); the other set's unmirrorable
+        code-set rows join this one's.  Neither BDD is built.
+        """
         if (
             other.num_positions != self.num_positions
             or other.bits_per_position != self.bits_per_position
         ):
             raise ConfigurationError("pattern sets have incompatible shapes")
-        self._ensure_bdd()
-        if other.manager is self.manager:
-            other._ensure_bdd()
-            self._root = self.manager.apply_or(self._root, other._root)
-            self._matcher.merge(other._matcher)
-            self._mirror_complete = self._mirror_complete and other._mirror_complete
-            return
-        # Different managers: re-insert other's words (sound but slower).
-        words = list(other.iterate_words())
-        if words:
-            self.add_patterns(np.asarray(words, dtype=np.int64))
+        self._matcher.merge(other._matcher)
+        self._extra_code_sets.extend(list(other._extra_code_sets))
+        self._bdd_deferred = True
 
     # ------------------------------------------------------------------
     # queries
@@ -523,12 +444,38 @@ class PatternSet:
         packed = self.codec.pack_codes(words)
         hits = self._matcher.contains_packed(packed, codes=words)
         if not self._mirror_complete and not np.all(hits):
+            self._ensure_bdd()
             bit_rows = unpack_bool_matrix(packed, self.num_bits)
             for index in np.nonzero(~hits)[0]:
                 hits[index] = self.manager.evaluate(
                     self._root, list(bit_rows[index])
                 )
         return hits
+
+    def min_distance_batch(self, words: np.ndarray, limit: int) -> np.ndarray:
+        """Hamming distance over *positions* from each word to the set.
+
+        Row ``i`` of the result is the fewest positions in which
+        ``words[i]`` differs from some stored word, or ``limit + 1`` when no
+        stored word is within ``limit`` positions (in particular when the set
+        is empty).  A complete mirror answers the whole batch in one
+        vectorised pass; after a non-contiguous :meth:`add_code_sets` the
+        BDD restriction search runs instead, one row and radius at a time.
+        """
+        words = self._validate_code_matrix(words)
+        reach = min(int(limit), self.num_positions)
+        if self._mirror_complete:
+            distances = self._matcher.min_distance(
+                self.codec.pack_codes(words), codes=words
+            )
+        else:
+            distances = np.full(words.shape[0], reach + 1, dtype=np.int64)
+            for index, word in enumerate(words.tolist()):
+                for radius in range(reach + 1):
+                    if self._within_hamming_bdd(word, radius):
+                        distances[index] = radius
+                        break
+        return np.where(distances <= reach, distances, int(limit) + 1)
 
     def contains_within_hamming(self, word: Sequence[int], distance: int) -> bool:
         """Membership relaxed by Hamming distance over *positions*.
@@ -539,30 +486,43 @@ class PatternSet:
         """
         if distance < 0:
             raise ConfigurationError("Hamming distance must be non-negative")
+        return bool(self.min_distance_batch([list(word)], distance)[0] <= distance)
+
+    def _within_hamming_bdd(self, word: Sequence[int], distance: int) -> bool:
+        """:meth:`contains_within_hamming` by BDD restriction.
+
+        Frees every combination of up to ``distance`` positions in turn and
+        asks whether the BDD restricted to the rest of ``word`` is
+        satisfiable.  It serves sets whose mirror is incomplete, and the
+        tests as their oracle.
+        """
         self._ensure_bdd()
-        if self.contains(word):
+        assignment = self._word_to_assignment(word)
+        if self.manager.evaluate(self._root, assignment):
             return True
-        if distance == 0:
-            return False
-        base_assignment = self._word_to_assignment(word)
+        bits = self.bits_per_position
         positions = range(self.num_positions)
         for radius in range(1, min(distance, self.num_positions) + 1):
             for flipped in combinations(positions, radius):
-                remaining = self._root
-                fixed = {}
-                for position in positions:
-                    if position in flipped:
-                        continue
-                    for bit in range(self.bits_per_position):
-                        index = self.bit_index(position, bit)
-                        fixed[index] = base_assignment[index]
-                restricted = self.manager.restrict(remaining, fixed)
-                if restricted != FALSE:
+                fixed = {
+                    index: assignment[index]
+                    for position in positions
+                    if position not in flipped
+                    for index in range(position * bits, (position + 1) * bits)
+                }
+                if self.manager.restrict(self._root, fixed) != FALSE:
                     return True
         return False
 
     def cardinality(self) -> int:
-        """Number of fully specified words in the set."""
+        """Number of fully specified words in the set.
+
+        A complete mirror of exact rows only is deduplicated, so it is
+        counted without a BDD; otherwise the BDD counts the models.
+        """
+        stored = self.stored_rows
+        if self._mirror_complete and not (stored["ternary"] or stored["ranges"]):
+            return stored["exact"]
         self._ensure_bdd()
         return self.manager.count_solutions_exact(self._root)
 
@@ -572,22 +532,15 @@ class PatternSet:
         return self.manager.dag_size(self._root)
 
     def is_empty(self) -> bool:
-        # The deferred flag is only set when the mirror holds at least one
-        # row, and deferred insertions keep it set — so deferred means
-        # non-empty without consulting the BDD.
-        return not self._bdd_deferred and self._root == FALSE
+        return self._matcher.is_empty and not self._extra_code_sets
 
     def iterate_words(self, limit: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
         """Yield the fully specified words of the set as code tuples."""
         self._ensure_bdd()
+        weights = 1 << np.arange(self.bits_per_position - 1, -1, -1)
         for model in self.manager.iterate_models(self._root, limit=limit):
-            word = []
-            for position in range(self.num_positions):
-                code = 0
-                for bit in range(self.bits_per_position):
-                    code = (code << 1) | int(model[self.bit_index(position, bit)])
-                word.append(code)
-            yield tuple(word)
+            codes = np.reshape(model, (self.num_positions, -1)) @ weights
+            yield tuple(int(code) for code in codes)
 
     def __len__(self) -> int:
         return self.cardinality()
@@ -598,5 +551,5 @@ class PatternSet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PatternSet(positions={self.num_positions}, "
-            f"bits={self.bits_per_position}, nodes={self.dag_size()})"
+            f"bits={self.bits_per_position}, rows={self.stored_rows})"
         )

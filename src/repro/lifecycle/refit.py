@@ -10,9 +10,9 @@ frozen at its offline training set.  The lifecycle discipline here:
   clones the monitor through a format-2 save→load round-trip and folds the
   new frames into the *clone*;
 * the clone path keeps refit cheap: a format-2 load restores the packed
-  mirror with the BDD deferred, and ``update()`` on a deferred set extends
-  the mirror only — refitting a deployed monitor never pays a BDD build
-  (pinned by the ``_ensure_bdd``-spy test in ``tests/lifecycle``);
+  mirror, and ``update()`` extends the mirror only (a pattern set builds
+  its BDD only on demand) — refitting a deployed monitor never pays a BDD
+  build (pinned by the ``_ensure_bdd``-spy test in ``tests/lifecycle``);
 * the result is **bit-identical** to a from-scratch fit on the concatenated
   nominal set whenever the codec parameters are pinned (explicit
   ``thresholds``/``cut_points``), because ``fit`` on N+M samples and

@@ -15,7 +15,8 @@ only (no exponential blow-up).
 Both variants run on the :mod:`repro.runtime` pattern codec: a training or
 evaluation batch is binarised against the thresholds in one vectorised pass,
 bulk-inserted as bit-packed words (standard) or ternary value/mask bit-planes
-(robust), and scored through the pattern set's vectorised membership mirror.
+(robust), and scored through the pattern set's vectorised membership mirror;
+a Hamming tolerance costs one more mirror pass over the batch's misses.
 """
 
 from __future__ import annotations
@@ -133,10 +134,11 @@ class BooleanPatternMonitor(ActivationMonitor):
         codes = self.codec.codes(features)
         known = self.patterns.contains_batch(codes)
         if self.hamming_tolerance > 0 and not np.all(known):
-            for index in np.nonzero(~known)[0]:
-                known[index] = self.patterns.contains_within_hamming(
-                    [int(code) for code in codes[index]], self.hamming_tolerance
-                )
+            unknown = ~known
+            known[unknown] = (
+                self.patterns.min_distance_batch(codes[unknown], self.hamming_tolerance)
+                <= self.hamming_tolerance
+            )
         return codes, known
 
     def _warn_from_features(self, features: np.ndarray) -> np.ndarray:
@@ -171,8 +173,8 @@ class BooleanPatternMonitor(ActivationMonitor):
         info = super().describe()
         info["hamming_tolerance"] = self.hamming_tolerance
         if self._fitted:
-            info["pattern_count"] = self.pattern_count()
-            info["bdd_size"] = self.bdd_size()
+            info["stored_rows"] = self.patterns.stored_rows
+            info["bdd_materialised"] = self.patterns.bdd_materialised
         return info
 
 

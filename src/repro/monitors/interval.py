@@ -10,8 +10,8 @@ generalises both the min-max monitor and the on/off monitor.
 The robust variant maps each neuron's perturbation-estimate bound
 ``[l_j, u_j]`` to the *range* of codes reachable by any value inside the
 bound (contiguous, thanks to monotonicity of the encoding); the per-neuron
-code ranges are bulk-inserted via the BDD ``word2set`` so the stored set is
-the Cartesian product without enumeration.
+code ranges are bulk-inserted as range rows (the multi-bit ``word2set``), so
+the stored set is the Cartesian product without enumeration.
 
 Both variants run on the :mod:`repro.runtime` pattern codec: whole batches
 are coded against the cut-point matrix in one vectorised pass and scored
@@ -166,8 +166,8 @@ class IntervalPatternMonitor(ActivationMonitor):
         info["bits_per_neuron"] = self.bits_per_neuron
         info["cut_strategy"] = self.cut_strategy
         if self._fitted:
-            info["pattern_count"] = self.pattern_count()
-            info["bdd_size"] = self.bdd_size()
+            info["stored_rows"] = self.patterns.stored_rows
+            info["bdd_materialised"] = self.patterns.bdd_materialised
         return info
 
 

@@ -15,13 +15,14 @@ Two scores are provided, one per abstraction family:
   per-neuron violation measured in units of the neuron's envelope width;
 * :class:`PatternDistanceMonitor` — Hamming distance (in monitored positions)
   between the observed activation word and the nearest word stored in the
-  pattern monitor's BDD, normalised by the word length.
+  pattern monitor's set, normalised by the word length.
 
 Both wrap an existing fitted monitor, so robust variants are obtained simply
 by wrapping the robust monitor.  Batch scoring is vectorised: one shared
 forward pass per batch, and for pattern distances the distance-0 case (the
 overwhelmingly common one on in-ODD traffic) is answered by the pattern
-set's vectorised membership mirror before any per-row BDD search runs.
+set's membership mirror, and the misses by one minimum-distance pass over
+the same mirror.
 """
 
 from __future__ import annotations
@@ -108,9 +109,10 @@ class PatternDistanceMonitor:
 
     The score of an input is the smallest number of monitored positions whose
     code must change for the observed word to match a stored word, divided by
-    the number of monitored positions.  The search uses the BDD restriction
-    operator, so it costs ``O(word length)`` BDD restrictions per candidate
-    distance rather than enumerating the stored set.
+    the number of monitored positions.  The distances of a whole batch come
+    from one vectorised pass over the pattern set's packed mirror, which
+    compares each word with every stored exact, ternary or range row at
+    once; distances beyond ``max_distance`` read ``max_distance + 1``.
     """
 
     def __init__(self, monitor, threshold: float = 0.0, max_distance: Optional[int] = None) -> None:
@@ -139,14 +141,6 @@ class PatternDistanceMonitor:
             return self.monitor.num_monitored_neurons
         return min(self.max_distance, self.monitor.num_monitored_neurons)
 
-    def _distance_of_word(self, word: Sequence[int]) -> int:
-        patterns = self.monitor.patterns
-        limit = self._distance_limit()
-        for candidate in range(1, limit + 1):
-            if patterns.contains_within_hamming(word, candidate):
-                return candidate
-        return limit + 1
-
     def distance_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Hamming distances of every row, distance-0 answered vectorised."""
         self._require_fitted()
@@ -158,10 +152,10 @@ class PatternDistanceMonitor:
         if patterns.is_empty():
             distances[:] = self.monitor.num_monitored_neurons
             return distances
-        known = patterns.contains_batch(codes)
-        for index in np.nonzero(~known)[0]:
-            distances[index] = self._distance_of_word(
-                [int(code) for code in codes[index]]
+        unknown = ~patterns.contains_batch(codes)
+        if np.any(unknown):
+            distances[unknown] = patterns.min_distance_batch(
+                codes[unknown], self._distance_limit()
             )
         return distances
 

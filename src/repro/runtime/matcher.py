@@ -1,12 +1,12 @@
 """TCAM-style vectorised membership over bit-packed pattern sets.
 
-The BDD of :class:`repro.bdd.patterns.PatternSet` is the canonical set
-representation (model counting, Hamming relaxation, DAG-size introspection),
-but answering "is this batch of words in the set?" one BDD walk at a time is
-a Python-loop-bound operation.  :class:`PackedMatcher` mirrors every
-insertion into three flat NumPy structures and answers batched membership
-through a pluggable *matcher kernel*, exactly like a ternary CAM in a
-network switch:
+:class:`PackedMatcher` is the store of :class:`repro.bdd.patterns.PatternSet`:
+every insertion lands in three flat NumPy structures, and the set's BDD is
+only a view rebuilt from them on demand (for model counting, DAG size and
+word enumeration).  Batched membership runs through a pluggable *matcher
+kernel*, exactly like a ternary CAM in a network switch, and Hamming
+relaxation through :meth:`PackedMatcher.min_distance`, one NumPy pass giving
+each probe its fewest differing positions to any stored row:
 
 * fully specified words — a deduplicated, row-sorted matrix, matched by
   sort-based row lookup (or binary search in the compiled kernel);
@@ -150,6 +150,42 @@ def _maximal_new_rows(
         kept = np.concatenate([kept, index[~inner.any(axis=1)]])
     keep[kept] = True
     return keep
+
+
+def _min_over_rows(
+    rows: np.ndarray,
+    ref: np.ndarray,
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    width: int,
+) -> np.ndarray:
+    """``out[i]``: the least ``distance(rows, ref)[i, j]`` over ``j`` (chunked).
+
+    ``width`` is the number of elements ``distance`` touches per pair.
+    """
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    chunk = max(1, CHUNK_ELEMENTS // (ref.shape[0] * width))
+    for start in range(0, rows.shape[0], chunk):
+        out[start : start + chunk] = distance(rows[start : start + chunk], ref).min(axis=1)
+    return out
+
+
+def _ternary_distance(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Bits at which packed 1-bit probes break ``[ones | zeros]`` keys."""
+    num_words = rows.shape[1]
+    probe = rows[:, None, :]
+    broken = (ref[None, :, :num_words] & ~probe) | (ref[None, :, num_words:] & probe)
+    return popcount(broken).sum(axis=2)
+
+
+def _range_distance(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Positions at which a probe key ``[c | -c]`` lies outside a range key.
+
+    A code ``c`` is outside ``[low, high]`` when ``low > c`` or
+    ``-high > -c``, so both halves of the key compare the same way.
+    """
+    outside = ref[None, :, :] > rows[:, None, :]
+    half = rows.shape[1] // 2
+    return (outside[:, :, :half] | outside[:, :, half:]).sum(axis=2)
 
 
 def _evict_and_add(stored: np.ndarray, added: np.ndarray, cover: CoverTest) -> np.ndarray:
@@ -338,6 +374,58 @@ class PackedMatcher:
             codes = self.word_codec.unpack_codes(packed)
             covered |= _covered(np.hstack([codes, -codes]), ranges, _range_cover)
         return covered
+
+    def min_distance(
+        self, packed: np.ndarray, codes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Fewest positions in which each probe differs from a stored word.
+
+        The distance counts *positions*, not bits.  Against one stored row
+        it counts the positions whose code
+
+        * differs, for an exact row;
+        * breaks a constrained bit, for a ternary row
+          (``popcount((w ^ v) & m)``; ternary rows are 1-bit only here);
+        * lies outside ``[low, high]``, for a range row.
+
+        The minimum runs over every stored row, in one NumPy pass per row
+        kind, chunked to ``CHUNK_ELEMENTS`` like the kernels' broadcasts; it
+        does not depend on the kernel back-end.  An empty matcher answers
+        ``num_positions + 1`` for every probe.  ``codes`` may be passed
+        alongside to avoid re-unpacking.
+        """
+        packed = np.ascontiguousarray(packed, dtype=np.uint64)
+        codec = self.word_codec
+        if packed.ndim != 2 or packed.shape[1] != codec.num_words:
+            raise ShapeError("probe rows do not match the codec word width")
+        self._consolidate_pending()
+        if self._ternary.shape[0] and codec.bits_per_position > 1:
+            raise ShapeError("position distance needs 1-bit ternary rows")
+        best = np.full(packed.shape[0], codec.num_positions + 1, dtype=np.int64)
+        if packed.shape[0] == 0 or self.is_empty:
+            return best
+        # On 1-bit words an exact row is a ternary row constraining every
+        # bit; on wider words it is a range row whose ranges are points.
+        ternary, ranges = self._ternary, self._ranges
+        if self._exact.shape[0] and codec.bits_per_position == 1:
+            zeros = self._full_mask()[None, :] & ~self._exact
+            ternary = np.vstack([ternary, np.hstack([self._exact, zeros])])
+        elif self._exact.shape[0]:
+            exact_codes = codec.unpack_codes(self._exact)
+            ranges = np.vstack([ranges, np.hstack([exact_codes, -exact_codes])])
+        if ternary.shape[0]:
+            best = np.minimum(
+                best, _min_over_rows(packed, ternary, _ternary_distance, codec.num_words)
+            )
+        if ranges.shape[0]:
+            if codes is None:
+                codes = codec.unpack_codes(packed)
+            codes = np.asarray(codes, dtype=np.int64)
+            keys = np.hstack([codes, -codes])
+            best = np.minimum(
+                best, _min_over_rows(keys, ranges, _range_distance, keys.shape[1])
+            )
+        return best
 
     def export_state(self) -> Dict[str, np.ndarray]:
         """Flat-array image of the minimal mirror (for persistence).

@@ -318,7 +318,12 @@ class AsyncScoringClient:
     async def connect(self) -> "AsyncScoringClient":
         if self._writer is not None:
             return self
-        reader, writer = await asyncio.open_connection(*self.address)
+        try:
+            reader, writer = await asyncio.open_connection(*self.address)
+        except OSError as exc:
+            raise RemoteScoringError(
+                f"cannot connect to {self.address[0]}:{self.address[1]}: {exc}"
+            ) from exc
         self._writer = writer
         self._reader_task = asyncio.ensure_future(self._read_loop(reader))
         return self

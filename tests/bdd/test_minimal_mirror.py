@@ -1,11 +1,11 @@
 """The packed mirror is minimal, and minimising it never changes the set.
 
 Every insert keeps the mirror free of duplicates and of rows another stored
-row covers, and the BDD is built from the kept rows only.  The canonical
-BDD is the oracle: after any interleaving of inserts and unions the mirror
-must answer exactly what the BDD answers, on every matcher back-end and
-across both serialization formats, and the BDD must be the very one an
-unpruned build of every inserted row gives.
+row covers, and the BDD is built on demand from the kept rows only.  The
+canonical BDD is the oracle: after any interleaving of inserts and unions
+the mirror must answer exactly what the BDD answers, on every matcher
+back-end and across both serialization formats, and the lazily built BDD
+must be the very one an eager, unpruned build of every inserted row gives.
 """
 
 import numpy as np
@@ -256,16 +256,17 @@ def operations(draw):
             ops.append(("ranges", (low, high)))
         elif kind == "ternary":
             ops.append(("ternary", (high == low, low.astype(bool))))
-        elif kind == "code_sets":
-            # Occasionally non-contiguous: the mirror then stops being exact
-            # and batched queries consult the BDD for its misses.
-            sets = [
-                sorted(set(rng.choice(num_codes, size=rng.integers(1, num_codes + 1))))
-                for _ in range(num_positions)
-            ]
+        # Occasionally non-contiguous: the mirror then stops being exact
+        # and batched queries consult the BDD for its misses.
+        sets = [
+            sorted(set(rng.choice(num_codes, size=rng.integers(1, num_codes + 1))))
+            for _ in range(num_positions)
+        ]
+        if kind == "code_sets":
             ops.append(("code_sets", sets))
         else:
-            ops.append(("union", (low, high)))
+            # The other set of a union sometimes holds a code-set row too.
+            ops.append(("union", (low, high, sets if rows % 2 else None)))
     return num_positions, bits, ops
 
 
@@ -289,9 +290,12 @@ def apply(op, patterns, reference):
         patterns.add_code_sets(payload)
         reference.add_code_sets(payload)
     else:
-        low, high = payload
+        low, high, sets = payload
         other = PatternSet(patterns.num_positions, patterns.bits_per_position)
         other.add_range_patterns(low, high)
+        if sets is not None:
+            other.add_code_sets(sets)
+            reference.add_code_sets(sets)
         patterns.union(other)
         for lo, hi in zip(low, high):
             reference.add_code_sets([range(a, b + 1) for a, b in zip(lo, hi)])
@@ -307,11 +311,23 @@ def test_random_interleavings_keep_a_minimal_exact_mirror(case):
     num_positions, bits, ops = case
     patterns = PatternSet(num_positions, bits_per_position=bits)
     reference = ReferenceBDD(num_positions, bits)
-    for op in ops:
+    for index, op in enumerate(ops):
         apply(op, patterns, reference)
+        if index % 2:
+            patterns.root  # build the BDD, so later inserts must rebuild it
 
     probes = all_words(num_positions, bits)
+    materialised = patterns.bdd_materialised
+    mirror = patterns.contains_batch(probes)
+    if patterns._mirror_complete:
+        assert patterns.bdd_materialised == materialised  # no BDD needed
     expected = bdd_verdicts(patterns, probes)
+    np.testing.assert_array_equal(mirror, expected)
+    sample = probes[:: max(1, probes.shape[0] // 8)]
+    for gamma in (0, 1):
+        within = patterns.min_distance_batch(sample, gamma) <= gamma
+        oracle = [patterns._within_hamming_bdd(list(word), gamma) for word in sample]
+        assert within.tolist() == oracle
     for backend in all_backends():
         patterns.set_matcher_backend(backend)
         np.testing.assert_array_equal(patterns.contains_batch(probes), expected)

@@ -70,8 +70,9 @@ class TestStandardBoolean:
         monitor = BooleanPatternMonitor(tiny_network, 4, thresholds="mean").fit(tiny_inputs)
         info = monitor.describe()
         assert info["kind"] == "boolean_pattern"
-        assert info["pattern_count"] >= 1
-        assert info["bdd_size"] >= 1
+        assert info["stored_rows"]["exact"] >= 1
+        assert info["stored_rows"]["exact"] == monitor.pattern_count()
+        assert info["bdd_materialised"] is False
 
     def test_neuron_subset(self, tiny_network, tiny_inputs):
         monitor = BooleanPatternMonitor(

@@ -76,7 +76,8 @@ class TestStandardInterval:
         info = monitor.describe()
         assert info["num_cuts"] == 3
         assert info["bits_per_neuron"] == 2
-        assert info["pattern_count"] >= 1
+        assert info["stored_rows"]["exact"] >= 1
+        assert info["stored_rows"]["exact"] == monitor.pattern_count()
 
 
 class TestRobustInterval:

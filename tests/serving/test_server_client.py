@@ -244,3 +244,23 @@ class TestAsyncClient:
 
         stats = asyncio.run(run())
         assert "frames_scored" in stats
+
+    def test_refused_dial_raises_typed_error(self):
+        import asyncio
+
+        from repro.serving import AsyncScoringClient
+
+        # A port that was bound and released has no listener: dialing it is
+        # refused at once, deterministically.
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        address = probe.getsockname()
+        probe.close()
+
+        async def run():
+            client = AsyncScoringClient(address)
+            with pytest.raises(RemoteScoringError):
+                await client.connect()
+            await client.close()
+
+        asyncio.run(run())
