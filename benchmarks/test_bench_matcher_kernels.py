@@ -2,10 +2,12 @@
 
 The per-frame cost of a deployed pattern monitor is one packed-membership
 query, so the matcher kernel is the serving hot loop.  This benchmark times
-every registered back-end on synthetic pattern sets shaped like the two
+every registered back-end on synthetic pattern sets shaped like the
 regimes that matter — a narrow monitored layer (one machine word per
-pattern) and a wide one (many words, where the numpy reference materialises
-``(probes, patterns, words)`` broadcast intermediates) — asserts all
+pattern), a wide one (many words, where the numpy reference materialises
+``(probes, patterns, words)`` broadcast intermediates) and a code-range set
+shaped like a robust interval monitor's (the bit-sliced range pass) —
+asserts all
 back-ends return bit-identical verdicts, and records the wall times into
 the CI perf-regression gate with the *effective* back-end annotated
 (``compiled`` silently degrades to ``numpy`` without numba; the JSON entry
@@ -36,8 +38,13 @@ CASES = [
     ("wide", 256 if QUICK else 640, 96 if QUICK else 384, 256, 512 if QUICK else 4096),
 ]
 
+#: The code-range case: (name, positions, cuts per position, range rows,
+#: probe rows) — the robust interval monitor's pattern set, which has
+#: neither exact nor ternary rows, so only the range pass runs.
+RANGE_CASE = ("range", 48, 3, 96, 512 if QUICK else 4096)
+
 #: Repeat counts keep one timing sample well above timer resolution.
-INNER = {"narrow": 4, "wide": 2}
+INNER = {"narrow": 4, "wide": 2, "range": 8}
 
 
 def build_case(num_positions: int, num_ternary: int, num_exact: int, num_probes: int):
@@ -57,6 +64,25 @@ def build_case(num_positions: int, num_ternary: int, num_exact: int, num_probes:
         return matcher
 
     return make_matcher, codec.word_codec.pack_codes(probes)
+
+
+def build_range_case(num_positions: int, num_cuts: int, num_ranges: int, num_probes: int):
+    """Robust-interval-shaped code ranges plus a code batch of probes."""
+    rng = np.random.default_rng(num_positions + num_ranges)
+    cuts = np.tile(np.linspace(-1.0, 1.0, num_cuts), (num_positions, 1))
+    codec = PatternCodec(cuts)
+    centres = rng.normal(size=(num_ranges, num_positions))
+    spans = rng.uniform(0.05, 0.8, size=(num_ranges, num_positions))
+    low, high = codec.bound_codes(centres - spans, centres + spans)
+    probes = codec.codes(rng.normal(size=(num_probes, num_positions)))
+    probes[: num_ranges // 4] = low[: num_ranges // 4]  # guaranteed hits
+
+    def make_matcher(backend):
+        matcher = PackedMatcher(codec.word_codec, backend=backend)
+        matcher.add_code_ranges(low, high)
+        return matcher
+
+    return make_matcher, probes
 
 
 @pytest.mark.benchmark(group="E12-matcher-kernels")
@@ -100,6 +126,40 @@ def test_matcher_kernel_backends(bench_record):
                 ]
             )
         assert reference is not None and reference[: num_exact // 4].all()
+    case_name, num_positions, num_cuts, num_ranges, num_probes = RANGE_CASE
+    make_matcher, codes = build_range_case(num_positions, num_cuts, num_ranges, num_probes)
+    reference = None
+    for backend in BACKENDS:
+        matcher = make_matcher(backend)
+        hits = matcher.contains_packed(None, codes)
+        if reference is None:
+            reference = hits
+        else:
+            np.testing.assert_array_equal(hits, reference)
+        key = f"matcher_{case_name}_{backend}"
+        bench_record.measure(
+            key,
+            lambda m=matcher: m.contains_packed(None, codes),
+            repeats=3,
+            inner=INNER[case_name],
+        )
+        bench_record.annotate(
+            key,
+            backend=backend,
+            effective=resolve_matcher_backend(backend).effective_name,
+            positions=num_positions,
+            range_rows=matcher.num_ranges,
+            probes=num_probes,
+        )
+        rows.append(
+            [
+                case_name,
+                backend,
+                resolve_matcher_backend(backend).effective_name,
+                f"{bench_record.timings[key] * 1e3:.3f} ms",
+            ]
+        )
+    assert reference is not None and reference[: num_ranges // 4].all()
     print()
     print(format_table(["case", "backend", "effective", "time/query"], rows))
 

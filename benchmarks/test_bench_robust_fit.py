@@ -23,6 +23,10 @@ is built only on demand).  ``wide_pattern_fit_n256`` gates a Boolean plus a
 one BDD cube per row the whole fit cost before; ``boolean_hamming_g1_n256``
 gates Boolean ``warn_batch`` with Hamming tolerance 1 on 256 track frames,
 one minimum-distance pass over the mirror for the batch's misses.
+
+``wide_encode_n32_p512_c5`` gates the codec alone on the interval encode
+shape of the serving experiments: 32 frames of a 512-wide layer against 5
+cuts per neuron (3 bits per position, 1536-bit words).
 """
 
 import os
@@ -255,6 +259,26 @@ def test_wide_pattern_fit(bench_record):
     print(
         f"\nE10: wide Boolean + interval fit n={WIDE_ROWS}: "
         f"{bench_record.timings[name] * 1e3:.2f} ms"
+    )
+
+
+@pytest.mark.benchmark(group="E10-robust-fit-scaling")
+def test_wide_interval_encode(bench_record):
+    """Interval codes + packing of 32 frames × 512 neurons × 5 cuts."""
+    from repro.runtime.codec import PatternCodec
+
+    rng = np.random.default_rng(29)
+    codec = PatternCodec(np.sort(rng.normal(size=(512, 5)), axis=1))
+    features = rng.normal(size=(32, 512))
+    name = "wide_encode_n32_p512_c5"
+    packed = bench_record.measure(
+        name, lambda: codec.encode(features), repeats=5, inner=200
+    )
+    assert packed.shape == (32, codec.word_codec.num_words)
+    np.testing.assert_array_equal(codec.decode(packed), codec.codes(features))
+    print(
+        f"\nE10: wide interval encode 32×512, 5 cuts: "
+        f"{bench_record.timings[name] * 1e6:.1f} µs"
     )
 
 

@@ -120,19 +120,14 @@ class PatternSet:
         return self.codec.code_bits(self._validate_code_matrix([list(word)]))[0].tolist()
 
     def _validate_code_matrix(self, words: np.ndarray) -> np.ndarray:
-        words = np.atleast_2d(np.asarray(words, dtype=np.int64))
+        """``words`` as a range-checked matrix of the codec's code dtype."""
+        words = np.atleast_2d(np.asarray(words))
         if words.ndim != 2 or words.shape[1] != self.num_positions:
             raise ConfigurationError(
                 f"words have {words.shape[-1]} positions, expected "
                 f"{self.num_positions}"
             )
-        if words.size and (
-            words.min() < 0 or words.max() >= (1 << self.bits_per_position)
-        ):
-            raise ConfigurationError(
-                f"codes must fit in {self.bits_per_position} bits"
-            )
-        return words
+        return self.codec.validate_codes(words)
 
     # ------------------------------------------------------------------
     # packed-state persistence (fast cold start)
@@ -287,7 +282,7 @@ class PatternSet:
 
     def add_word(self, word: Sequence[int]) -> None:
         """Insert a fully specified word (one integer code per position)."""
-        packed = self.codec.pack_codes(self._validate_code_matrix([list(word)]))
+        packed = self.codec.pack_valid_codes(self._validate_code_matrix([list(word)]))
         self._matcher.add_exact_bytes(packed.astype("<u8").tobytes())
         self._inserted(1)
 
@@ -301,7 +296,7 @@ class PatternSet:
         words = self._validate_code_matrix(words)
         if words.shape[0] == 0:
             return
-        self._matcher.add_exact_packed(self.codec.pack_codes(words))
+        self._matcher.add_exact_packed(self.codec.pack_valid_codes(words))
         self._inserted(int(words.shape[0]))
 
     def add_ternary_word(self, word: Sequence[object]) -> None:
@@ -433,19 +428,20 @@ class PatternSet:
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorised membership of a ``(N, num_positions)`` code matrix.
 
-        Answered from the packed mirror (hash set + ternary/range broadcast
-        kernels); rows the mirror cannot settle — only possible after a
-        non-contiguous :meth:`add_code_sets` — fall back to one BDD
-        evaluation each.  Agrees with :meth:`contains` row by row.
+        Answered from the packed mirror: the codes are checked once here and
+        handed to the matcher as they are, which packs them into words only
+        when it holds exact or ternary rows.  Rows the mirror cannot settle
+        — only possible after a non-contiguous :meth:`add_code_sets` — fall
+        back to one BDD evaluation each.  Agrees with :meth:`contains` row
+        by row.
         """
         words = self._validate_code_matrix(words)
         if words.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        packed = self.codec.pack_codes(words)
-        hits = self._matcher.contains_packed(packed, codes=words)
+        hits = self._matcher.contains_packed(None, words)
         if not self._mirror_complete and not np.all(hits):
             self._ensure_bdd()
-            bit_rows = unpack_bool_matrix(packed, self.num_bits)
+            bit_rows = self.codec.code_bits(words)
             for index in np.nonzero(~hits)[0]:
                 hits[index] = self.manager.evaluate(
                     self._root, list(bit_rows[index])
@@ -466,7 +462,7 @@ class PatternSet:
         reach = min(int(limit), self.num_positions)
         if self._mirror_complete:
             distances = self._matcher.min_distance(
-                self.codec.pack_codes(words), codes=words
+                self.codec.pack_valid_codes(words), codes=words
             )
         else:
             distances = np.full(words.shape[0], reach + 1, dtype=np.int64)

@@ -121,12 +121,20 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out[0] if squeeze else out
 
-    def activations(self, x: np.ndarray) -> List[np.ndarray]:
-        """Return the outputs of every layer ``[G^1(x), ..., G^n(x)]``."""
+    def activations(self, x: np.ndarray, depth: Optional[int] = None) -> List[np.ndarray]:
+        """Return the layer outputs ``[G^1(x), ..., G^depth(x)]``.
+
+        ``depth`` defaults to every layer (``n``); a monitor of layer ``k``
+        needs only ``depth = k``, and the layers past it are not evaluated.
+        """
+        layers = self.layers
+        if depth is not None:
+            self._check_layer_index(depth)
+            layers = layers[:depth]
         batch, squeeze = self._as_batch(x)
         outputs: List[np.ndarray] = []
         out = batch
-        for layer in self.layers:
+        for layer in layers:
             out = layer.forward(out, training=False)
             outputs.append(out[0] if squeeze else out)
         return outputs

@@ -13,6 +13,19 @@ become the fixed-width binary words stored by pattern monitors:
   bit-planes (1-bit monitors, Definition 1's ``ab_R``) or per-position code
   ranges (multi-bit interval monitors, Section III-C).
 
+Codes and words
+---------------
+A code matrix is ``(N, P)`` of the smallest unsigned dtype holding the
+largest code (``uint8`` for up to 8 bits per position, so for every monitor
+in this package): :meth:`PatternCodec.codes` adds ``value > cut`` over the
+cuts into it.  A NaN lies above no cut, so it codes 0; ``+inf`` codes
+``num_cuts`` and ``-inf`` 0.  Packing writes each code MSB-first as ``b``
+columns of a ``uint8`` bit matrix and hands it to ``np.packbits(...,
+bitorder="little")``; eight packed bytes read as one little-endian ``uint64``
+are one machine word (see :mod:`repro.runtime.packing`).  Codes that
+callers pass in are range-checked once (:meth:`WordCodec.validate_codes`);
+codes the codec made itself are not checked again.
+
 Comparison tolerance
 --------------------
 Batched and single-row forward passes of the same network may differ in the
@@ -79,39 +92,65 @@ class WordCodec:
         self.bits_per_position = int(bits_per_position)
         self.num_bits = self.num_positions * self.bits_per_position
         self.num_words = words_for_bits(self.num_bits)
+        self.num_codes = 1 << self.bits_per_position
+        #: dtype of the code matrices this layout produces (``uint8`` up to
+        #: 8 bits per position).
+        self.code_dtype = np.min_scalar_type(self.num_codes - 1)
         # MSB-first per position, matching PatternSet.bit_index ordering.
-        self._bit_shifts = np.arange(self.bits_per_position - 1, -1, -1, dtype=np.int64)
+        self._bit_shifts = np.arange(self.bits_per_position)[::-1].astype(self.code_dtype)
 
     # ------------------------------------------------------------------
-    def _validate_codes(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+    def validate_codes(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` as a ``(N, P)`` matrix of :attr:`code_dtype`, range-checked.
+
+        The check is dtype-aware: an unsigned matrix needs no ``< 0`` test.
+        A wrong width raises :class:`ShapeError`, a code outside
+        ``[0, 2**b)`` :class:`ConfigurationError`.
+        """
+        codes = np.atleast_2d(np.asarray(codes))
         if codes.ndim != 2 or codes.shape[1] != self.num_positions:
             raise ShapeError(
                 f"expected a (batch, {self.num_positions}) code matrix, got "
                 f"shape {codes.shape}"
             )
-        if codes.size and (codes.min() < 0 or codes.max() >= (1 << self.bits_per_position)):
-            raise ConfigurationError(
-                f"codes must lie in [0, {1 << self.bits_per_position})"
-            )
-        return codes
+        if codes.dtype.kind not in "iu":
+            codes = codes.astype(np.int64)
+        if codes.size:
+            negative = codes.dtype.kind == "i" and codes.min() < 0
+            if negative or codes.max() >= self.num_codes:
+                raise ConfigurationError(f"codes must lie in [0, {self.num_codes})")
+        return codes.astype(self.code_dtype, copy=False)
 
     def code_bits(self, codes: np.ndarray) -> np.ndarray:
         """Expand a ``(N, P)`` code matrix to its ``(N, P·b)`` bit matrix."""
-        codes = self._validate_codes(codes)
-        bits = (codes[:, :, None] >> self._bit_shifts[None, None, :]) & 1
-        return bits.reshape(codes.shape[0], self.num_bits).astype(bool)
+        return self._code_bits(self.validate_codes(codes)).astype(bool, copy=False)
+
+    def _code_bits(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`code_bits` of validated codes, as a 0/1 code-dtype matrix."""
+        if self.bits_per_position == 1:
+            # A 1-bit code is its own bit: no copy (the Boolean monitors).
+            return codes
+        bits = np.empty(codes.shape + (self.bits_per_position,), dtype=self.code_dtype)
+        for bit, shift in enumerate(self._bit_shifts):
+            np.bitwise_and(codes >> shift, 1, out=bits[:, :, bit])
+        return bits.reshape(codes.shape[0], self.num_bits)
 
     def pack_codes(self, codes: np.ndarray) -> np.ndarray:
         """Pack a ``(N, P)`` code matrix into ``(N, W)`` ``uint64`` rows."""
-        return pack_bool_matrix(self.code_bits(codes))
+        return self.pack_valid_codes(self.validate_codes(codes))
+
+    def pack_valid_codes(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`pack_codes` of codes :meth:`validate_codes` already passed."""
+        return pack_bool_matrix(self._code_bits(codes))
 
     def unpack_codes(self, packed: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`pack_codes`."""
-        bits = unpack_bool_matrix(packed, self.num_bits)
+        """Inverse of :meth:`pack_codes` (codes of :attr:`code_dtype`)."""
+        bits = unpack_bool_matrix(packed, self.num_bits).view(np.uint8)
         shaped = bits.reshape(bits.shape[0], self.num_positions, self.bits_per_position)
-        weights = (1 << self._bit_shifts).astype(np.int64)
-        return (shaped * weights[None, None, :]).sum(axis=2)
+        codes = np.zeros(shaped.shape[:2], dtype=self.code_dtype)
+        for bit, shift in enumerate(self._bit_shifts):
+            codes |= shaped[:, :, bit].astype(self.code_dtype) << shift
+        return codes
 
 
 class PatternCodec:
@@ -150,6 +189,11 @@ class PatternCodec:
         self.num_codes = self.num_cuts + 1
         bits = max(1, int(np.ceil(np.log2(self.num_codes))))
         self.word_codec = WordCodec(self.num_positions, bits)
+        #: dtype of the codes :meth:`codes` returns: the smallest unsigned
+        #: dtype holding ``num_cuts`` (``uint8`` up to 255 cuts).
+        self.code_dtype = self.word_codec.code_dtype
+        # One contiguous row of cuts per cut index, for the accumulation.
+        self._cut_rows = np.ascontiguousarray(self._effective_cuts.T)
 
     # ------------------------------------------------------------------
     @property
@@ -166,20 +210,31 @@ class PatternCodec:
         return features
 
     def codes(self, features: np.ndarray) -> np.ndarray:
-        """Interval code of every entry of a ``(N, P)`` feature batch."""
-        features = self._validate_features(features)
-        return (
-            (features[:, :, None] > self._effective_cuts[None, :, :])
-            .sum(axis=2)
-            .astype(np.int64)
-        )
+        """Interval code of every entry of a ``(N, P)`` feature batch.
+
+        The code is the number of cuts (plus tolerance) the value lies
+        strictly above, accumulated one cut at a time into
+        :attr:`code_dtype`; NaN lies above no cut and codes 0.
+        """
+        return self._codes(self._validate_features(features))
+
+    def _codes(self, features: np.ndarray) -> np.ndarray:
+        if self.num_cuts == 1:
+            # One cut (the Boolean monitors): the comparison is the code.
+            return (features > self._cut_rows[0]).view(np.uint8)
+        codes = np.zeros(features.shape, dtype=self.code_dtype)
+        above = np.empty(features.shape, dtype=bool)
+        for cut_row in self._cut_rows:
+            np.greater(features, cut_row, out=above)
+            codes += above.view(np.uint8)
+        return codes
 
     def encode(self, features: np.ndarray) -> np.ndarray:
         """Feature batch → bit-packed ``(N, W)`` pattern words in one pass."""
-        return self.word_codec.pack_codes(self.codes(features))
+        return self.word_codec.pack_valid_codes(self.codes(features))
 
     def decode(self, packed: np.ndarray) -> np.ndarray:
-        """Packed words → ``(N, P)`` integer code matrix (layout round-trip)."""
+        """Packed words → ``(N, P)`` code matrix (layout round-trip)."""
         return self.word_codec.unpack_codes(packed)
 
     # ------------------------------------------------------------------
@@ -190,9 +245,14 @@ class PatternCodec:
 
         The code function is monotone in the value, so the reachable set is
         exactly ``code(low) .. code(high)`` — Section III-C's observation.
+        Both ends are coded in one pass over the stacked bounds.
         """
-        low_codes = self.codes(low)
-        high_codes = self.codes(high)
+        low = self._validate_features(low)
+        high = self._validate_features(high)
+        if low.shape != high.shape:
+            raise ShapeError("bound lower and upper ends differ in shape")
+        both = self._codes(np.concatenate([low, high]))
+        low_codes, high_codes = both[: low.shape[0]], both[low.shape[0] :]
         if np.any(low_codes > high_codes):
             raise ShapeError("bound lower end exceeds upper end")
         return low_codes, high_codes
@@ -210,9 +270,9 @@ class PatternCodec:
             )
         low_codes, high_codes = self.bound_codes(low, high)
         constrained = low_codes == high_codes
-        values = pack_bool_matrix((low_codes == 1) & constrained)
-        masks = pack_bool_matrix(constrained)
-        return TernaryPlanes(values=values, masks=masks)
+        both = pack_bool_matrix(np.concatenate([low_codes & constrained, constrained]))
+        num_rows = low_codes.shape[0]
+        return TernaryPlanes(values=both[:num_rows], masks=both[num_rows:])
 
     # ------------------------------------------------------------------
     @classmethod

@@ -281,7 +281,9 @@ class BatchScoringEngine:
         inserting an entry.  That is the right trade for one-shot batches
         that will never be re-scored (e.g. streaming micro-batches, each of
         which is fresh content): hashing a wide batch costs more than the
-        small forward passes it would deduplicate.
+        small forward passes it would deduplicate.  The uncached walk also
+        stops at the deepest layer a monitor of this network reads; a cached
+        entry keeps every layer, so any later monitor can reuse it.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         score = BatchScore(verdicts={} if want_verdicts else None)
@@ -295,20 +297,22 @@ class BatchScoringEngine:
                 if want_verdicts:
                     score.verdicts[name] = []
             return score
-        entry: Optional[List[np.ndarray]] = None
+        shared = [m for m in monitors.values() if self._shares_network(m)]
+        for monitor in shared:
+            if not 1 <= monitor.layer_index <= self.network.num_layers:
+                raise ConfigurationError(
+                    f"layer index {monitor.layer_index} outside "
+                    f"[1, {self.network.num_layers}]"
+                )
+        entry: List[np.ndarray] = []
+        if shared and use_cache:
+            entry = self.cache.activation_entry(inputs)
+        elif shared:
+            # One-shot batches stop at the deepest monitored layer.
+            depth = max(monitor.layer_index for monitor in shared)
+            entry = self.network.activations(inputs, depth)
         for name, monitor in monitors.items():
             if self._shares_network(monitor):
-                if entry is None:
-                    entry = (
-                        self.cache.activation_entry(inputs)
-                        if use_cache
-                        else self.network.activations(inputs)
-                    )
-                if not 1 <= monitor.layer_index <= len(entry):
-                    raise ConfigurationError(
-                        f"layer index {monitor.layer_index} outside "
-                        f"[1, {len(entry)}]"
-                    )
                 activations = entry[monitor.layer_index - 1]
                 if want_verdicts:
                     verdicts = monitor.verdict_batch_from_layer(activations)

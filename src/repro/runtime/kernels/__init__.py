@@ -8,7 +8,8 @@ queried by :class:`~repro.runtime.matcher.PackedMatcher` at dispatch time.
 Built-in back-ends
 ------------------
 ``numpy``
-    The reference broadcast implementation (always available, always the
+    The reference NumPy passes: presorted exact lookup, broadcast ternary
+    compare, bit-sliced range table (always available, always the
     equivalence oracle).
 ``compiled``
     A numba-jitted fused pass — exact binary search, ternary

@@ -120,15 +120,20 @@ class CompiledMatcherKernel(MatcherKernel):
     def match(
         self,
         plan: MatchPlan,
-        packed: np.ndarray,
+        packed: Optional[np.ndarray],
         codes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         if self._fallback is not None:
             return self._fallback.match(plan, packed, codes=codes)
-        num_probes, num_words = packed.shape
+        num_probes = self.num_probes(packed, codes)
         hits = np.zeros(num_probes, dtype=bool)
         if num_probes == 0 or plan.is_empty:
             return hits
+        if packed is None:
+            # Only a plan without exact or ternary rows comes without words;
+            # the kernel then reads just their count.
+            packed = np.zeros((num_probes, 1), dtype=np.uint64)
+        num_words = packed.shape[1]
         empty_words = np.zeros((0, num_words), dtype=np.uint64)
         exact = plan.exact if plan.exact is not None else empty_words
         if plan.ternary is not None:
@@ -136,8 +141,7 @@ class CompiledMatcherKernel(MatcherKernel):
         else:
             values = masks = empty_words
         if plan.range_low is not None:
-            low, high = plan.range_low, plan.range_high
-            probe_codes = np.ascontiguousarray(plan.probe_codes(packed, codes))
+            low, high, probe_codes = plan.range_low, plan.range_high, codes
         else:
             low = high = np.zeros((0, 0), dtype=np.int64)
             probe_codes = np.zeros((num_probes, 0), dtype=np.int64)
@@ -146,7 +150,8 @@ class CompiledMatcherKernel(MatcherKernel):
             np.ascontiguousarray(exact, dtype=np.uint64),
             np.ascontiguousarray(values, dtype=np.uint64),
             np.ascontiguousarray(masks, dtype=np.uint64),
-            probe_codes,
+            # One jitted signature: codes cross the boundary as int64.
+            np.ascontiguousarray(probe_codes, dtype=np.int64),
             np.ascontiguousarray(low, dtype=np.int64),
             np.ascontiguousarray(high, dtype=np.int64),
             hits,
@@ -156,9 +161,14 @@ class CompiledMatcherKernel(MatcherKernel):
     # Per-structure passes: used when another driver (e.g. sharded) asks for
     # a single pass; each routes through the fused kernel with the other
     # structures left empty, or through the fallback when numba is absent.
-    def match_exact(self, probes: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    # The plan's derived lookup structures (keys, table) serve the numpy
+    # passes only; the fused loop binary-searches and compares directly, so
+    # it never builds them.
+    def match_exact(
+        self, probes: np.ndarray, exact: np.ndarray, keys: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         if self._fallback is not None:
-            return self._fallback.match_exact(probes, exact)
+            return self._fallback.match_exact(probes, exact, keys=keys)
         self._check_words(probes, exact)
         hits = np.zeros(probes.shape[0], dtype=bool)
         if exact.shape[0] == 0 or probes.shape[0] == 0:
@@ -199,10 +209,14 @@ class CompiledMatcherKernel(MatcherKernel):
         return hits
 
     def match_ranges(
-        self, probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray
+        self,
+        probe_codes: np.ndarray,
+        low: np.ndarray,
+        high: np.ndarray,
+        table: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         if self._fallback is not None:
-            return self._fallback.match_ranges(probe_codes, low, high)
+            return self._fallback.match_ranges(probe_codes, low, high, table=table)
         hits = np.zeros(probe_codes.shape[0], dtype=bool)
         if low.shape[0] == 0 or probe_codes.shape[0] == 0:
             return hits

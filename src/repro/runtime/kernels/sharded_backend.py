@@ -90,10 +90,10 @@ class ShardedMatcherKernel(MatcherKernel):
     def match(
         self,
         plan: MatchPlan,
-        packed: np.ndarray,
+        packed: Optional[np.ndarray],
         codes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        num_probes = packed.shape[0]
+        num_probes = self.num_probes(packed, codes)
         if num_probes == 0 or plan.is_empty:
             return np.zeros(num_probes, dtype=bool)
         num_shards = self._num_shards(num_probes)
@@ -102,8 +102,9 @@ class ShardedMatcherKernel(MatcherKernel):
         bounds = np.linspace(0, num_probes, num_shards + 1, dtype=np.int64)
 
         def run(start: int, stop: int) -> np.ndarray:
+            shard_packed = packed[start:stop] if packed is not None else None
             shard_codes = codes[start:stop] if codes is not None else None
-            return self.inner.match(plan, packed[start:stop], codes=shard_codes)
+            return self.inner.match(plan, shard_packed, codes=shard_codes)
 
         pool = _shared_pool()
         futures = [
@@ -112,8 +113,10 @@ class ShardedMatcherKernel(MatcherKernel):
         return np.concatenate([future.result() for future in futures])
 
     # Per-structure passes simply delegate (the chunking win lives in match).
-    def match_exact(self, probes: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        return self.inner.match_exact(probes, exact)
+    def match_exact(
+        self, probes: np.ndarray, exact: np.ndarray, keys: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        return self.inner.match_exact(probes, exact, keys=keys)
 
     def match_ternary(
         self, probes: np.ndarray, values: np.ndarray, masks: np.ndarray
@@ -121,6 +124,10 @@ class ShardedMatcherKernel(MatcherKernel):
         return self.inner.match_ternary(probes, values, masks)
 
     def match_ranges(
-        self, probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray
+        self,
+        probe_codes: np.ndarray,
+        low: np.ndarray,
+        high: np.ndarray,
+        table: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        return self.inner.match_ranges(probe_codes, low, high)
+        return self.inner.match_ranges(probe_codes, low, high, table=table)

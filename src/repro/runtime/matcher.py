@@ -8,12 +8,17 @@ kernel*, exactly like a ternary CAM in a network switch, and Hamming
 relaxation through :meth:`PackedMatcher.min_distance`, one NumPy pass giving
 each probe its fewest differing positions to any stored row:
 
-* fully specified words — a deduplicated, row-sorted matrix, matched by
-  sort-based row lookup (or binary search in the compiled kernel);
+* fully specified words — a deduplicated, row-sorted matrix, matched by a
+  binary search of its presorted row keys (``MatchPlan.exact_keys``);
 * ternary words — ``(M, W)`` value/mask bit-planes; probe ``p`` matches row
   ``i`` iff ``(p ^ value_i) & mask_i == 0``;
 * code-range words (robust interval monitors) — ``(M, P)`` per-position
-  low/high code matrices; probe codes match iff they lie inside every range.
+  low/high code matrices; probe codes match iff they lie inside every
+  range, answered by ANDing one row bitmap per position out of the plan's
+  bit-sliced ``range_table``.
+
+Probes arrive as packed words, as unsigned code matrices, or both; a set
+holding only code ranges never packs its probes.
 
 The mirror is exact and minimal: the union of its rows is precisely the
 union of the words the insertion APIs added, and no stored row is covered
@@ -371,7 +376,8 @@ class PackedMatcher:
             zeros = self._full_mask()[None, :] & ~packed
             covered |= _covered(np.hstack([packed, zeros]), ternary, _ternary_cover)
         if packed.shape[0] and ranges is not None and ranges.shape[0]:
-            codes = self.word_codec.unpack_codes(packed)
+            # Range keys negate codes: widen the unsigned codes first.
+            codes = self.word_codec.unpack_codes(packed).astype(np.int64)
             covered |= _covered(np.hstack([codes, -codes]), ranges, _range_cover)
         return covered
 
@@ -411,7 +417,7 @@ class PackedMatcher:
             zeros = self._full_mask()[None, :] & ~self._exact
             ternary = np.vstack([ternary, np.hstack([self._exact, zeros])])
         elif self._exact.shape[0]:
-            exact_codes = codec.unpack_codes(self._exact)
+            exact_codes = codec.unpack_codes(self._exact).astype(np.int64)
             ranges = np.vstack([ranges, np.hstack([exact_codes, -exact_codes])])
         if ternary.shape[0]:
             best = np.minimum(
@@ -420,6 +426,7 @@ class PackedMatcher:
         if ranges.shape[0]:
             if codes is None:
                 codes = codec.unpack_codes(packed)
+            # The probe key negates codes: widen the unsigned codes first.
             codes = np.asarray(codes, dtype=np.int64)
             keys = np.hstack([codes, -codes])
             best = np.minimum(
@@ -534,26 +541,45 @@ class PackedMatcher:
         return self._plan
 
     def contains_packed(
-        self, packed: np.ndarray, codes: Optional[np.ndarray] = None
+        self, packed: Optional[np.ndarray], codes: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Batched membership of fully specified packed probe words.
+        """Batched membership of fully specified probe words.
 
         ``codes`` may be passed alongside to avoid re-unpacking when
-        code-range entries have to be checked.
+        code-range entries have to be checked; they must be the probes'
+        codes as :meth:`WordCodec.validate_codes` returns them.  With
+        ``codes`` given, ``packed`` may be ``None``.  The kernel receives
+        exactly the forms the plan reads: words (packed from ``codes`` if
+        need be) only for exact or ternary rows, codes (unpacked from
+        ``packed`` if need be) only for ranges — so a ranges-only set (the
+        robust interval monitor) never packs.
         """
-        packed = np.ascontiguousarray(packed, dtype=np.uint64)
-        if packed.ndim != 2 or packed.shape[1] != self.word_codec.num_words:
-            raise ShapeError("probe rows do not match the codec word width")
-        if self.is_empty or packed.shape[0] == 0:
+        if packed is None:
+            if codes is None:
+                raise ShapeError("contains_packed needs packed words or codes")
+            num_probes = codes.shape[0]
+        else:
+            packed = np.ascontiguousarray(packed, dtype=np.uint64)
+            if packed.ndim != 2 or packed.shape[1] != self.word_codec.num_words:
+                raise ShapeError("probe rows do not match the codec word width")
+            num_probes = packed.shape[0]
+        if self.is_empty or num_probes == 0:
             # Allocated-shape early-out on every backend: no plan build, no
             # kernel resolution/dispatch, no JIT warm-up.
-            return np.zeros(packed.shape[0], dtype=bool)
-        return self.kernel().match(self.match_plan(), packed, codes=codes)
+            return np.zeros(num_probes, dtype=bool)
+        plan = self.match_plan()
+        words = None
+        if plan.exact is not None or plan.ternary is not None:
+            words = packed if packed is not None else self.word_codec.pack_valid_codes(codes)
+        if plan.range_low is None:
+            codes = None
+        elif codes is None:
+            codes = self.word_codec.unpack_codes(packed)
+        return self.kernel().match(plan, words, codes=codes)
 
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
         """Batched membership of probes given as ``(N, P)`` code matrices."""
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-        return self.contains_packed(self.word_codec.pack_codes(codes), codes=codes)
+        return self.contains_packed(None, self.word_codec.validate_codes(codes))
 
     # ------------------------------------------------------------------
     @property

@@ -30,9 +30,6 @@ __all__ = [
 #: Number of pattern bits stored per machine word.
 WORD_BITS = 64
 
-_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
-
-
 def words_for_bits(num_bits: int) -> int:
     """Number of ``uint64`` machine words needed to store ``num_bits`` bits."""
     if num_bits <= 0:
@@ -66,8 +63,14 @@ def pack_bool_matrix(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(N, B)`` boolean matrix into a ``(N, W)`` ``uint64`` matrix.
 
     Column ``j`` of ``bits`` becomes bit ``j % 64`` of machine word
-    ``j // 64``.  The trailing padding bits of the last machine word are
-    always zero, so packed rows can be compared and hashed directly.
+    ``j // 64``.  Any nonzero entry counts as a set bit.  The trailing
+    padding bits of the last machine word are always zero, so packed rows
+    can be compared and hashed directly.
+
+    ``np.packbits(..., bitorder="little")`` writes the bits LSB-first into
+    bytes; with every row padded to a multiple of 64 bits, eight consecutive
+    bytes read as one little-endian ``uint64`` are exactly the word layout
+    above.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
@@ -75,11 +78,15 @@ def pack_bool_matrix(bits: np.ndarray) -> np.ndarray:
     num_rows, num_bits = bits.shape
     if num_bits == 0:
         raise ShapeError("cannot pack zero-width words")
+    if bits.dtype != np.bool_ and bits.dtype != np.uint8:
+        bits = bits != 0
     num_words = words_for_bits(num_bits)
-    padded = np.zeros((num_rows, num_words * WORD_BITS), dtype=np.uint64)
-    padded[:, :num_bits] = bits.astype(bool)
-    chunks = padded.reshape(num_rows, num_words, WORD_BITS)
-    return np.bitwise_or.reduce(chunks << _SHIFTS[None, None, :], axis=2)
+    if num_bits != num_words * WORD_BITS:
+        padded = np.zeros((num_rows, num_words * WORD_BITS), dtype=np.uint8)
+        padded[:, :num_bits] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little")
+    return packed.view("<u8").reshape(num_rows, num_words).astype(np.uint64, copy=False)
 
 
 def unpack_bool_matrix(packed: np.ndarray, num_bits: int) -> np.ndarray:
@@ -93,8 +100,9 @@ def unpack_bool_matrix(packed: np.ndarray, num_bits: int) -> np.ndarray:
             f"{num_bits} bits need {num_words} machine words per row, got "
             f"{packed.shape[1]}"
         )
-    bits = (packed[:, :, None] >> _SHIFTS[None, None, :]) & np.uint64(1)
-    return bits.reshape(packed.shape[0], num_words * WORD_BITS)[:, :num_bits].astype(bool)
+    as_bytes = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=1, count=int(num_bits), bitorder="little")
+    return bits.view(bool)
 
 
 if hasattr(np, "bitwise_count"):

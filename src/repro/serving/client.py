@@ -396,8 +396,19 @@ class AsyncScoringClient:
         request_id = next(self._ids)
         future = asyncio.get_event_loop().create_future()
         self._pending[request_id] = future
-        self._writer.write(protocol.encode_frame(frame_type, request_id, payload))
-        await self._writer.drain()
+        writer = self._writer
+        try:
+            writer.write(protocol.encode_frame(frame_type, request_id, payload))
+            await writer.drain()
+        except OSError as exc:
+            self._pending.pop(request_id, None)
+            if future.done():
+                future.exception()  # failed by the reader too: mark it seen
+            else:
+                future.cancel()
+            if self._writer is writer:
+                self._writer = None
+            raise RemoteScoringError(f"send failed: {exc}") from exc
         return await future
 
     async def score(self, frames: np.ndarray) -> Dict[str, np.ndarray]:

@@ -80,6 +80,28 @@ def test_mirror_min_distance_equals_the_bdd_search(case):
         assert within == [bool(d <= gamma) for d in expected]
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=pattern_sets())
+def test_min_distance_on_uint8_codes_equals_the_bdd_search(case):
+    """Codes are unsigned: no distance path may subtract from or negate them."""
+    patterns, probes = case
+    codes = probes.astype(np.uint8)
+    packed = patterns.codec.pack_codes(codes)
+    reference = np.array([bdd_distance(patterns, word, max(GAMMAS)) for word in probes])
+    for backend in all_backends():
+        patterns.set_matcher_backend(backend)
+        for gamma in GAMMAS:
+            expected = np.where(reference <= gamma, reference, gamma + 1)
+            np.testing.assert_array_equal(patterns.min_distance_batch(codes, gamma), expected)
+        # The matcher itself, on uint8 codes passed in and on unpacked ones.
+        if not patterns.is_empty():
+            for given_codes in (codes, None):
+                distances = patterns._matcher.min_distance(packed, codes=given_codes)
+                np.testing.assert_array_equal(
+                    np.minimum(distances, max(GAMMAS) + 1), reference
+                )
+
+
 def test_min_distance_counts_positions_not_bits():
     codec = WordCodec(3, 2)
     matcher = PackedMatcher(codec)

@@ -313,3 +313,66 @@ class TestBackendBehaviour:
         np.testing.assert_array_equal(
             candidate.contains_codes(probes), reference.contains_codes(probes)
         )
+
+
+def _python_fused_match(probes, exact, values, masks, codes, low, high, out):
+    """The jitted fused pass's semantics, one probe at a time."""
+    assert codes.dtype == np.int64 and low.dtype == np.int64
+    for i in range(probes.shape[0]):
+        out[i] = (
+            (exact == probes[i]).all(axis=1).any()
+            or (((probes[i] ^ values) & masks) == 0).all(axis=1).any()
+            or ((low <= codes[i]) & (codes[i] <= high)).all(axis=1).any()
+        )
+
+
+class TestCompiledDriver:
+    """The compiled kernel's own driver, run on any host.
+
+    Without numba the kernel degrades to numpy, so the code that feeds the
+    fused pass runs only where numba is installed.  Standing a plain-Python
+    fused pass in for the jitted one runs that driver everywhere.
+    """
+
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        from repro.runtime.kernels import compiled_backend
+
+        monkeypatch.setattr(compiled_backend, "_fused_match", _python_fused_match, raising=False)
+        kernel = CompiledMatcherKernel()
+        kernel._fallback = None
+        return kernel
+
+    @pytest.mark.parametrize("structures", ["ranges", "exact", "exact+ranges"])
+    @pytest.mark.parametrize("positions", [20, 70])
+    def test_every_probe_form_matches_reference(self, kernel, structures, positions):
+        rng = np.random.default_rng(positions)
+        codec = PatternCodec(np.tile(np.linspace(-1.0, 1.0, 3), (positions, 1))).word_codec
+        words = rng.integers(0, 4, size=(30, positions))
+        reference = PackedMatcher(codec, backend="numpy")
+        candidate = PackedMatcher(codec, backend=kernel)
+        for matcher in (reference, candidate):
+            if "exact" in structures:
+                matcher.add_exact_packed(codec.pack_codes(words[10:]))
+            if "ranges" in structures:
+                low = np.maximum(words[:10] - 1, 0)
+                matcher.add_code_ranges(low, np.minimum(words[:10] + 1, 3))
+        codes = codec.validate_codes(np.vstack([words, rng.integers(0, 4, (100, positions))]))
+        packed = codec.pack_codes(codes)
+        expected = reference.contains_codes(codes)
+        assert expected.any() and not expected.all()
+        for args in ((packed, None), (None, codes), (packed, codes)):
+            np.testing.assert_array_equal(candidate.contains_packed(*args), expected)
+
+    def test_ternary_rows_match_reference(self, kernel):
+        rng = np.random.default_rng(5)
+        codec = PatternCodec.from_thresholds(np.zeros(70))
+        feats = rng.normal(size=(10, 70))
+        reference = PackedMatcher(codec.word_codec, backend="numpy")
+        candidate = PackedMatcher(codec.word_codec, backend=kernel)
+        for matcher in (reference, candidate):
+            matcher.add_ternary(codec.ternary_planes(feats - 0.5, feats + 0.5))
+        probes = codec.encode(np.vstack([feats, rng.normal(size=(50, 70))]))
+        np.testing.assert_array_equal(
+            candidate.contains_packed(probes), reference.contains_packed(probes)
+        )

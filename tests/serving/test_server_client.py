@@ -7,7 +7,9 @@ multi-process pool the CI end-to-end leg exercises.
 """
 
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -264,3 +266,34 @@ class TestAsyncClient:
             await client.close()
 
         asyncio.run(run())
+
+    def test_send_on_a_reset_connection_raises_typed_error(self, probe_frames):
+        import asyncio
+
+        from repro.serving import AsyncScoringClient
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        async def run():
+            client = AsyncScoringClient(listener.getsockname())
+            await client.connect()
+            # The server side resets the connection (linger 0 sends RST) and
+            # stops listening.  The client does not yield to the event loop
+            # before it scores, so its reader has not seen the reset and the
+            # score writes into the dead socket.
+            peer, _ = listener.accept()
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            peer.close()
+            listener.close()
+            time.sleep(0.05)
+            with pytest.raises(RemoteScoringError):
+                await client.score(probe_frames)
+            assert client._pending == {}
+            await client.close()
+
+        try:
+            asyncio.run(run())
+        finally:
+            listener.close()
