@@ -123,9 +123,8 @@ class BenchRecorder:
     def annotate(self, name: str, **attrs: object) -> None:
         """Attach JSON-serialisable attributes to a recorded timing.
 
-        Used for context the gate should *see* but not compare — e.g. which
-        matcher back-end actually executed a timing (``compiled`` degrades
-        to ``numpy`` when numba is absent, and the entry must say so).
+        Used for context the gate should *see* but not compare — e.g. the
+        shape of a timed case, or the LP tier counts behind a star timing.
         """
         self.attributes.setdefault(name, {}).update(attrs)
 

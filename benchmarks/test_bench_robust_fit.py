@@ -39,11 +39,8 @@ from repro.eval.reporting import format_table
 from repro.monitors.boolean import BooleanPatternMonitor, RobustBooleanPatternMonitor
 from repro.monitors.interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
 from repro.monitors.minmax import RobustMinMaxMonitor
-from repro.monitors.perturbation import (
-    PerturbationSpec,
-    collect_bound_arrays,
-    collect_bound_arrays_loop,
-)
+from repro.monitors.perturbation import PerturbationSpec, collect_bound_arrays
+from tests.oracles.symbolic import collect_bound_arrays_loop
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 

@@ -1,10 +1,10 @@
-"""E15 — star-LP bound queries: per-row seed loop vs batched tiers.
+"""E15 — star-LP bound queries: per-row seed loop vs the batched stacked tier.
 
 The star back-end answered every bound query with ``2·d`` independent
-``scipy.optimize.linprog`` calls per row (the seed loop, kept as
-:func:`repro.symbolic.propagation._star_bounds_loop`).  The batched path
-walks all rows in lockstep and answers each layer's queries through the
-star-LP back-ends (:mod:`repro.symbolic.star_lp`): closed form while the
+``scipy.optimize.linprog`` calls per row (the seed loop, kept with the
+tests as ``star_bounds_loop_batch`` in ``tests/oracles/symbolic.py``).  The
+batched path walks all rows in lockstep and answers each layer's queries
+through the stacked star-LP tier (:mod:`repro.symbolic.star_lp`): closed form while the
 predicate polytopes are hypercubes, block-stacked sparse HiGHS programs
 once unstable ReLUs constrain them.  This benchmark measures both paths
 on a genuinely constrained walk (ReLU network, budget big enough to cross
@@ -22,11 +22,9 @@ import pytest
 
 from repro.eval.reporting import format_table
 from repro.symbolic.batched import BatchedBox
-from repro.symbolic.propagation import (
-    _star_bounds_loop,
-    perturbation_bounds_batch,
-)
-from repro.symbolic.star_lp import ShardedStarLPBackend, StackedStarLPBackend
+from repro.symbolic.propagation import perturbation_bounds_batch
+from repro.symbolic.star_lp import StackedStarLPBackend
+from tests.oracles.symbolic import star_bounds_loop_batch
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 
@@ -78,7 +76,7 @@ def test_star_bounds_loop_vs_batched(bench_record, relu_star_network, star_input
         inputs = star_inputs[:size]
         batched_box = BatchedBox(inputs - DELTA, inputs + DELTA)
         loop_time = _time_once(
-            lambda: _star_bounds_loop(network, batched_box, 0, to_layer)
+            lambda: star_bounds_loop_batch(network, batched_box, 0, to_layer)
         )
         prefix = "" if size == GATE_SIZE else "_"
         name = f"{prefix}star_lp_stacked_n{size}"
@@ -163,25 +161,3 @@ def test_star_closed_form_walk_runs_zero_lps(
     )
     assert stats["lp_programs"] == 0
     assert stats["closed_form_stars"] > 0
-
-
-@pytest.mark.benchmark(group="E15-star-lp-bounds")
-def test_star_sharded_tier_informational(bench_record, relu_star_network, star_inputs):
-    """Sharded-tier timing (informational: thread scaling is machine-bound)."""
-    network = relu_star_network
-    to_layer = len(network.layers)
-    backend = ShardedStarLPBackend(min_shard_stars=1)
-    inputs = star_inputs[:GATE_SIZE]
-    name = f"_star_lp_sharded_n{GATE_SIZE}"
-    result = bench_record.measure(
-        name,
-        lambda: perturbation_bounds_batch(
-            network, inputs, to_layer, 0, DELTA, "star", star_lp_backend=backend
-        ),
-        repeats=3,
-    )
-    assert result[0].shape == (GATE_SIZE, network.layer_output_dim(to_layer))
-    print(
-        f"\nE15: sharded tier n={GATE_SIZE}: "
-        f"{bench_record.timings[name] * 1e3:.1f} ms"
-    )

@@ -9,8 +9,9 @@ words that supports:
 * insertion of *ternary* words containing don't-care symbols — the paper's
   ``word2set`` — without enumerating the exponential expansion, again one at
   a time or as batched value/mask bit-planes;
-* insertion of words whose positions carry *sets* of admissible codes (the
-  robust interval monitor of Section III-C), with a bulk code-range variant;
+* insertion of words whose positions carry contiguous *sets* of admissible
+  codes (the robust interval monitor of Section III-C), with a bulk
+  code-range variant;
 * membership queries (single word or a whole batch at once),
   Hamming-distance-relaxed membership, cardinality and size introspection.
 
@@ -30,10 +31,7 @@ Any insert marks the cached BDD stale, and the next BDD-dependent call —
 :meth:`~PatternSet.contains` or :attr:`~PatternSet.root` — rebuilds it by
 replaying all of the mirror's rows (a whole rebuild per stale call, so
 alternating inserts with such calls pays one each time).  ROBDDs are canonical, so the rebuilt BDD is
-node for node the one an eager build of every inserted row gives.  A
-non-contiguous admissible code set cannot be mirrored; such rows are kept
-apart, OR-ed into the BDD when it is built, and batched queries then fall
-back to the BDD for the rows the mirror leaves unresolved.
+node for node the one an eager build of every inserted row gives.
 """
 
 from __future__ import annotations
@@ -67,20 +65,9 @@ class PatternSet:
     bits_per_position:
         Number of bits used to encode each position (1 for on/off monitors,
         2 or more for interval monitors).
-    matcher_backend:
-        Matcher-kernel back-end for :meth:`contains_batch` — a registry name
-        from :func:`repro.runtime.kernels.matcher_backends`, a ready kernel
-        instance, or ``None`` for the ``REPRO_MATCHER_BACKEND`` /
-        ``numpy`` default.  Only execution speed depends on it; every
-        back-end is bit-for-bit equivalent.
     """
 
-    def __init__(
-        self,
-        num_positions: int,
-        bits_per_position: int = 1,
-        matcher_backend=None,
-    ) -> None:
+    def __init__(self, num_positions: int, bits_per_position: int = 1) -> None:
         if num_positions <= 0:
             raise ConfigurationError("num_positions must be positive")
         if bits_per_position <= 0:
@@ -90,9 +77,7 @@ class PatternSet:
         self.num_bits = self.num_positions * self.bits_per_position
         self.manager = BDDManager(self.num_bits)
         self.codec = WordCodec(self.num_positions, self.bits_per_position)
-        self._matcher = PackedMatcher(self.codec, backend=matcher_backend)
-        # Non-contiguous add_code_sets rows, which the mirror cannot hold.
-        self._extra_code_sets: List[List[List[int]]] = []
+        self._matcher = PackedMatcher(self.codec)
         self._root = FALSE
         self._insertions = 0
         # True while the cached BDD lags behind the set.  Every insert sets
@@ -138,11 +123,6 @@ class PatternSet:
         return not self._bdd_deferred
 
     @property
-    def _mirror_complete(self) -> bool:
-        """True when the packed mirror alone holds the whole set."""
-        return not self._extra_code_sets
-
-    @property
     def stored_rows(self) -> Dict[str, int]:
         """Rows the minimal mirror stores, per row kind."""
         return {
@@ -155,30 +135,12 @@ class PatternSet:
         """Flat-array image of the set, suitable for ``.npz`` persistence.
 
         The image is the packed mirror's structures (exact rows, ternary
-        value/mask planes, code ranges) — a complete description of the set
-        whenever the mirror is exact, and far more compact than the word
-        enumeration for ternary/range entries (no don't-care or Cartesian
-        expansion).  Restore with :meth:`from_packed_state`.
+        value/mask planes, code ranges) — a complete description of the set,
+        and far more compact than the word enumeration for ternary/range
+        entries (no don't-care or Cartesian expansion).  Restore with
+        :meth:`from_packed_state`.
         """
-        if not self._mirror_complete:
-            raise ConfigurationError(
-                "the packed mirror is not exact for this set (a non-contiguous "
-                "code set was inserted); packed-state export is unavailable"
-            )
         return self._matcher.export_state()
-
-    def set_matcher_backend(self, backend) -> None:
-        """Re-bind batched membership to another matcher kernel back-end.
-
-        The stored patterns are untouched — only the execution engine of
-        :meth:`contains_batch` changes, so this is safe on a live set.
-        """
-        self._matcher.set_backend(backend)
-
-    @property
-    def matcher_backend(self) -> str:
-        """Registry name of the active matcher kernel."""
-        return self._matcher.backend_name
 
     @classmethod
     def from_packed_state(
@@ -187,7 +149,6 @@ class PatternSet:
         bits_per_position: int,
         state: Dict[str, np.ndarray],
         insertions: Optional[int] = None,
-        matcher_backend=None,
     ) -> "PatternSet":
         """Rebuild a set from :meth:`packed_state`.
 
@@ -197,11 +158,7 @@ class PatternSet:
         deployed monitor therefore pays array I/O, and incremental refit of
         it pays array appends.
         """
-        obj = cls(
-            num_positions,
-            bits_per_position=bits_per_position,
-            matcher_backend=matcher_backend,
-        )
+        obj = cls(num_positions, bits_per_position=bits_per_position)
         exact = np.ascontiguousarray(state["exact"], dtype=np.uint64)
         values = np.ascontiguousarray(state["ternary_values"], dtype=np.uint64)
         masks = np.ascontiguousarray(state["ternary_masks"], dtype=np.uint64)
@@ -225,8 +182,7 @@ class PatternSet:
     def _ensure_bdd(self) -> None:
         """Rebuild the cached BDD when an insert has made it stale.
 
-        The BDD is the replay of the mirror's current rows, OR-ed with the
-        non-contiguous code-set rows the mirror cannot hold.  The rebuild is
+        The BDD is the replay of the mirror's current rows.  The rebuild is
         whole, not incremental: the first BDD-dependent call after an insert
         costs O(stored rows × bits), and the superseded BDD's nodes stay in
         the manager's unique table (it is never collected).  Code that
@@ -253,7 +209,6 @@ class PatternSet:
             manager.code_sets([range(lo, hi + 1) for lo, hi in zip(low, high)], bits)
             for low, high in ranges
         ]
-        parts += [manager.code_sets(sets, bits) for sets in self._extra_code_sets]
         self._root = manager.disjoin_balanced(parts)
 
     # ------------------------------------------------------------------
@@ -351,10 +306,8 @@ class PatternSet:
         take any code from a non-empty set (e.g. ``{01, 10}``), and the
         inserted set is the Cartesian product of the per-position sets.
         Contiguous sets (the only kind the monotone interval encoding
-        produces) are mirrored exactly as a code range.  A non-contiguous
-        row is kept apart and built into the BDD (a conjunction over
-        positions of per-position disjunctions, linear in the listed codes),
-        and batched queries then fall back to the BDD for mirror misses.
+        produces) are mirrored exactly as a code range; a non-contiguous set
+        raises :class:`~repro.exceptions.ConfigurationError`.
         """
         if len(code_sets) != self.num_positions:
             raise ConfigurationError(
@@ -371,17 +324,14 @@ class PatternSet:
                 raise ConfigurationError(
                     f"codes must fit in {self.bits_per_position} bits"
                 )
+            if codes[-1] - codes[0] + 1 != len(codes):
+                raise ConfigurationError(
+                    f"position {position} has a non-contiguous code set {codes}"
+                )
             normalised.append(codes)
-        contiguous = all(
-            codes[-1] - codes[0] + 1 == len(codes) for codes in normalised
-        )
-        if contiguous:
-            low = np.array([[codes[0] for codes in normalised]], dtype=np.int64)
-            high = np.array([[codes[-1] for codes in normalised]], dtype=np.int64)
-            self.add_range_patterns(low, high)
-            return
-        self._extra_code_sets.append(normalised)
-        self._inserted(1)
+        low = np.array([[codes[0] for codes in normalised]], dtype=np.int64)
+        high = np.array([[codes[-1] for codes in normalised]], dtype=np.int64)
+        self.add_range_patterns(low, high)
 
     def add_range_patterns(self, low_codes: np.ndarray, high_codes: np.ndarray) -> None:
         """Bulk-insert words given as per-position contiguous code ranges.
@@ -404,8 +354,7 @@ class PatternSet:
     def union(self, other: "PatternSet") -> None:
         """In-place union with another pattern set sharing the same shape.
 
-        The mirrors merge (and re-minimise); the other set's unmirrorable
-        code-set rows join this one's.  Neither BDD is built.
+        The mirrors merge (and re-minimise).  Neither BDD is built.
         """
         if (
             other.num_positions != self.num_positions
@@ -413,7 +362,6 @@ class PatternSet:
         ):
             raise ConfigurationError("pattern sets have incompatible shapes")
         self._matcher.merge(other._matcher)
-        self._extra_code_sets.extend(list(other._extra_code_sets))
         self._bdd_deferred = True
 
     # ------------------------------------------------------------------
@@ -430,23 +378,13 @@ class PatternSet:
 
         Answered from the packed mirror: the codes are checked once here and
         handed to the matcher as they are, which packs them into words only
-        when it holds exact or ternary rows.  Rows the mirror cannot settle
-        — only possible after a non-contiguous :meth:`add_code_sets` — fall
-        back to one BDD evaluation each.  Agrees with :meth:`contains` row
-        by row.
+        when it holds exact or ternary rows.  Agrees with :meth:`contains`
+        row by row.
         """
         words = self._validate_code_matrix(words)
         if words.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        hits = self._matcher.contains_packed(None, words)
-        if not self._mirror_complete and not np.all(hits):
-            self._ensure_bdd()
-            bit_rows = self.codec.code_bits(words)
-            for index in np.nonzero(~hits)[0]:
-                hits[index] = self.manager.evaluate(
-                    self._root, list(bit_rows[index])
-                )
-        return hits
+        return self._matcher.contains_packed(None, words)
 
     def min_distance_batch(self, words: np.ndarray, limit: int) -> np.ndarray:
         """Hamming distance over *positions* from each word to the set.
@@ -454,23 +392,12 @@ class PatternSet:
         Row ``i`` of the result is the fewest positions in which
         ``words[i]`` differs from some stored word, or ``limit + 1`` when no
         stored word is within ``limit`` positions (in particular when the set
-        is empty).  A complete mirror answers the whole batch in one
-        vectorised pass; after a non-contiguous :meth:`add_code_sets` the
-        BDD restriction search runs instead, one row and radius at a time.
+        is empty).  The mirror answers the whole batch in one vectorised
+        pass.
         """
         words = self._validate_code_matrix(words)
         reach = min(int(limit), self.num_positions)
-        if self._mirror_complete:
-            distances = self._matcher.min_distance(
-                self.codec.pack_valid_codes(words), codes=words
-            )
-        else:
-            distances = np.full(words.shape[0], reach + 1, dtype=np.int64)
-            for index, word in enumerate(words.tolist()):
-                for radius in range(reach + 1):
-                    if self._within_hamming_bdd(word, radius):
-                        distances[index] = radius
-                        break
+        distances = self._matcher.min_distance(self.codec.pack_valid_codes(words), codes=words)
         return np.where(distances <= reach, distances, int(limit) + 1)
 
     def contains_within_hamming(self, word: Sequence[int], distance: int) -> bool:
@@ -489,8 +416,8 @@ class PatternSet:
 
         Frees every combination of up to ``distance`` positions in turn and
         asks whether the BDD restricted to the rest of ``word`` is
-        satisfiable.  It serves sets whose mirror is incomplete, and the
-        tests as their oracle.
+        satisfiable.  The tests use it as the oracle of
+        :meth:`min_distance_batch`.
         """
         self._ensure_bdd()
         assignment = self._word_to_assignment(word)
@@ -513,11 +440,11 @@ class PatternSet:
     def cardinality(self) -> int:
         """Number of fully specified words in the set.
 
-        A complete mirror of exact rows only is deduplicated, so it is
-        counted without a BDD; otherwise the BDD counts the models.
+        A mirror of exact rows only is deduplicated, so it is counted
+        without a BDD; otherwise the BDD counts the models.
         """
         stored = self.stored_rows
-        if self._mirror_complete and not (stored["ternary"] or stored["ranges"]):
+        if not (stored["ternary"] or stored["ranges"]):
             return stored["exact"]
         self._ensure_bdd()
         return self.manager.count_solutions_exact(self._root)
@@ -528,7 +455,7 @@ class PatternSet:
         return self.manager.dag_size(self._root)
 
     def is_empty(self) -> bool:
-        return self._matcher.is_empty and not self._extra_code_sets
+        return self._matcher.is_empty
 
     def iterate_words(self, limit: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
         """Yield the fully specified words of the set as code tuples."""

@@ -40,7 +40,7 @@ from .store import MonitorStore
 __all__ = ["RefitAccumulator", "clone_monitor", "incremental_refit", "refit_monitor"]
 
 
-def clone_monitor(monitor, network=None, matcher_backend=None):
+def clone_monitor(monitor, network=None):
     """Deep-copy a fitted monitor via a format-2 save→load round-trip.
 
     The round-trip is the cheapest correct clone: it shares no mutable
@@ -53,11 +53,11 @@ def clone_monitor(monitor, network=None, matcher_backend=None):
     if network is None:
         network = monitor.network
     with tempfile.TemporaryDirectory(prefix="repro-refit-") as tmp:
-        path = save_monitor(monitor, Path(tmp) / "clone.npz", format=2)
-        return load_monitor(path, network, matcher_backend=matcher_backend)
+        path = save_monitor(monitor, Path(tmp) / "clone.npz")
+        return load_monitor(path, network)
 
 
-def incremental_refit(monitor, frames: np.ndarray, network=None, matcher_backend=None):
+def incremental_refit(monitor, frames: np.ndarray, network=None):
     """Return a *new* monitor: ``monitor`` extended with nominal ``frames``.
 
     The input monitor is untouched (it may be live in a registry snapshot
@@ -74,8 +74,7 @@ def incremental_refit(monitor, frames: np.ndarray, network=None, matcher_backend
             f"monitor class {type(monitor).__name__} does not support "
             "incremental update()"
         )
-    clone = clone_monitor(monitor, network=network,
-                          matcher_backend=matcher_backend)
+    clone = clone_monitor(monitor, network=network)
     clone.update(frames)
     return clone
 
@@ -86,7 +85,6 @@ def refit_monitor(
     monitor,
     frames: np.ndarray,
     network=None,
-    matcher_backend=None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Tuple[object, int]:
     """Refit ``monitor`` with ``frames`` and archive the result in ``store``.
@@ -94,9 +92,7 @@ def refit_monitor(
     Returns ``(refit_monitor, version)``: the new monitor plus the store
     version it was archived as — ready for ``LifecycleManager.stage``.
     """
-    refit = incremental_refit(
-        monitor, frames, network=network, matcher_backend=matcher_backend
-    )
+    refit = incremental_refit(monitor, frames, network=network)
     detail = {"refit_frames": int(np.atleast_2d(frames).shape[0])}
     if metadata:
         detail.update(metadata)

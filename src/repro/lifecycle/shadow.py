@@ -226,11 +226,6 @@ class ShadowScorer:
     def verdict_batch(self, inputs):
         return self.candidate.verdict_batch(inputs)
 
-    def set_matcher_backend(self, backend):
-        setter = getattr(self.candidate, "set_matcher_backend", None)
-        if setter is not None:
-            setter(backend)
-
     # ------------------------------------------------------------------
     def observe(
         self, shadow_warns: np.ndarray, live_warns: Optional[np.ndarray]

@@ -119,7 +119,7 @@ class MonitorStore:
         chain = self._chain(name, create=True)
         version = int(chain["next_version"])
         filename = f"{name}_v{version}.npz"
-        save_monitor(monitor, self.directory / filename, format=2)
+        save_monitor(monitor, self.directory / filename)
         chain["versions"][str(version)] = {
             "file": filename,
             "fingerprint": monitor_fingerprint(monitor),
@@ -131,17 +131,14 @@ class MonitorStore:
         self._write_manifest()
         return version
 
-    def load(self, name: str, version: Optional[int] = None, network=None, matcher_backend=None):
+    def load(self, name: str, version: Optional[int] = None, network=None):
         """Reconstruct a stored version against ``network`` (default: live)."""
         if version is None:
             version = self.live_version(name)
             if version is None:
                 version = self.latest(name)
         entry = self._entry(name, version)
-        return load_monitor(
-            self.directory / entry["file"], network,
-            matcher_backend=matcher_backend,
-        )
+        return load_monitor(self.directory / entry["file"], network)
 
     def path(self, name: str, version: int) -> Path:
         """Filesystem path of one stored archive."""

@@ -111,12 +111,16 @@ class ActivationMonitor:
                     f"neuron indices must lie in [0, {layer_width})"
                 )
             self.neuron_indices = indices
+        # Column selector of the monitored neurons: a slice (a view, no
+        # copy) when they are one contiguous run, else the index array.
+        first, last = int(self.neuron_indices[0]), int(self.neuron_indices[-1])
+        if last - first + 1 == self.neuron_indices.shape[0]:
+            self._columns = slice(first, last + 1)
+        else:
+            self._columns = self.neuron_indices
         self._fitted = False
         self._num_training_samples = 0
         self._engine = None
-        #: Matcher-kernel back-end choice for pattern-set membership (None
-        #: defers to a bound engine's suggestion, then the env/default).
-        self.matcher_backend = None
 
     # ------------------------------------------------------------------
     # shared plumbing
@@ -163,33 +167,6 @@ class ActivationMonitor:
         self._engine = engine
         return self
 
-    def matcher_backend_choice(self):
-        """Effective matcher-kernel choice for pattern sets built by ``fit``.
-
-        The monitor's own ``matcher_backend`` wins; otherwise a bound
-        engine's ``matcher_backend`` applies; ``None`` defers to the
-        ``REPRO_MATCHER_BACKEND`` environment variable / ``numpy`` default
-        at dispatch time.
-        """
-        if self.matcher_backend is not None:
-            return self.matcher_backend
-        return getattr(self._engine, "matcher_backend", None)
-
-    def set_matcher_backend(self, backend) -> "ActivationMonitor":
-        """Select the matcher kernel for this monitor's pattern membership.
-
-        Takes effect immediately on an already-fitted pattern set (the
-        stored patterns are untouched — verdicts are bit-identical across
-        back-ends) and is remembered for subsequent refits.  Monitors
-        without a pattern set (min-max family) record the choice but have
-        no batched membership pass to re-bind.  Returns ``self``.
-        """
-        self.matcher_backend = backend
-        patterns = getattr(self, "patterns", None)
-        if patterns is not None and hasattr(patterns, "set_matcher_backend"):
-            patterns.set_matcher_backend(backend)
-        return self
-
     def features(self, inputs: np.ndarray) -> np.ndarray:
         """Monitored-layer feature vectors of ``inputs`` (always 2-D).
 
@@ -223,7 +200,12 @@ class ActivationMonitor:
         return collect_bound_arrays(self.network, inputs, self.layer_index, spec)
 
     def features_from_layer(self, layer_activations: np.ndarray) -> np.ndarray:
-        """Monitored-neuron slice of precomputed full-layer activations."""
+        """Monitored-neuron slice of precomputed full-layer activations.
+
+        A contiguous neuron run comes back as a view of
+        ``layer_activations`` (e.g. a cached engine entry), so callers must
+        not write into it.
+        """
         layer_activations = np.atleast_2d(np.asarray(layer_activations, dtype=np.float64))
         expected = self.network.layer_output_dim(self.layer_index)
         if layer_activations.shape[1] != expected:
@@ -231,11 +213,7 @@ class ActivationMonitor:
                 f"layer activations have width {layer_activations.shape[1]}, "
                 f"expected {expected}"
             )
-        return layer_activations[:, self.neuron_indices]
-
-    def _select(self, low: np.ndarray, high: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Restrict per-neuron bounds to the monitored neuron subset."""
-        return low[self.neuron_indices], high[self.neuron_indices]
+        return layer_activations[:, self._columns]
 
     # ------------------------------------------------------------------
     # API to be implemented by subclasses

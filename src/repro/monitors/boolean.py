@@ -61,13 +61,11 @@ class BooleanPatternMonitor(ActivationMonitor):
         thresholds: Union[str, np.ndarray] = "zero",
         neuron_indices: Optional[Sequence[int]] = None,
         hamming_tolerance: int = 0,
-        matcher_backend=None,
     ) -> None:
         super().__init__(network, layer_index, neuron_indices)
         if hamming_tolerance < 0:
             raise ConfigurationError("hamming_tolerance must be non-negative")
         self.hamming_tolerance = int(hamming_tolerance)
-        self.matcher_backend = matcher_backend
         self._threshold_spec = thresholds
         self.thresholds: Optional[np.ndarray] = None
         self.patterns: Optional[PatternSet] = None
@@ -110,11 +108,7 @@ class BooleanPatternMonitor(ActivationMonitor):
         if features.shape[0] == 0:
             raise ShapeError("fit() needs at least one training input")
         self._set_thresholds(self._resolve_thresholds(features))
-        self.patterns = PatternSet(
-            self.num_monitored_neurons,
-            bits_per_position=1,
-            matcher_backend=self.matcher_backend_choice(),
-        )
+        self.patterns = PatternSet(self.num_monitored_neurons, bits_per_position=1)
         self.patterns.add_patterns(self.codec.codes(features))
         self._fitted = True
         self._num_training_samples = int(features.shape[0])
@@ -196,7 +190,6 @@ class RobustBooleanPatternMonitor(BooleanPatternMonitor):
         thresholds: Union[str, np.ndarray] = "zero",
         neuron_indices: Optional[Sequence[int]] = None,
         hamming_tolerance: int = 0,
-        matcher_backend=None,
     ) -> None:
         super().__init__(
             network,
@@ -204,7 +197,6 @@ class RobustBooleanPatternMonitor(BooleanPatternMonitor):
             thresholds=thresholds,
             neuron_indices=neuron_indices,
             hamming_tolerance=hamming_tolerance,
-            matcher_backend=matcher_backend,
         )
         if perturbation.layer >= layer_index:
             raise ConfigurationError(
@@ -240,11 +232,7 @@ class RobustBooleanPatternMonitor(BooleanPatternMonitor):
             raise ShapeError("fit() needs at least one training input")
         features = self.features(training_inputs)
         self._set_thresholds(self._resolve_thresholds(features))
-        self.patterns = PatternSet(
-            self.num_monitored_neurons,
-            bits_per_position=1,
-            matcher_backend=self.matcher_backend_choice(),
-        )
+        self.patterns = PatternSet(self.num_monitored_neurons, bits_per_position=1)
         self._dont_care_count = 0
         self._insert_robust_batch(training_inputs)
         self._fitted = True

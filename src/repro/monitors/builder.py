@@ -194,21 +194,6 @@ class ClassConditionalMonitor:
             )
         return self
 
-    def set_matcher_backend(self, backend) -> "ClassConditionalMonitor":
-        """Select the matcher kernel for every per-class pattern set.
-
-        Applies to the already-fitted per-class monitors immediately and is
-        recorded in the builder's options so classes (re)fitted later use
-        the same back-end.  Returns ``self``.
-        """
-        if self.builder.family != "minmax":
-            self.builder.options["matcher_backend"] = backend
-        for monitor in self._monitors.values():
-            setter = getattr(monitor, "set_matcher_backend", None)
-            if setter is not None:
-                setter(backend)
-        return self
-
     def _require_fitted(self) -> None:
         if self._network is None:
             raise NotFittedError("ClassConditionalMonitor must be fitted before use")

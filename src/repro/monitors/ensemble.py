@@ -64,22 +64,6 @@ class MonitorEnsemble:
         )
 
     # ------------------------------------------------------------------
-    def set_matcher_backend(self, backend) -> "MonitorEnsemble":
-        """Select the matcher kernel for every member's pattern membership.
-
-        Threads the back-end through each member that supports it (pattern
-        families re-bind their live pattern sets; min-max members record the
-        choice only).  Verdicts are unchanged — back-ends are bit-for-bit
-        equivalent — so this is safe on a serving ensemble.  Returns
-        ``self``.
-        """
-        for monitor in self.monitors:
-            setter = getattr(monitor, "set_matcher_backend", None)
-            if setter is not None:
-                setter(backend)
-        return self
-
-    # ------------------------------------------------------------------
     @property
     def is_fitted(self) -> bool:
         return all(monitor.is_fitted for monitor in self.monitors)

@@ -2,7 +2,7 @@
 
 A lifecycle deployment needs to *name* the exact abstraction a monitor
 serves — "which version produced this verdict?" — across save/load
-round-trips, matcher back-end switches and insertion-order differences.
+round-trips and insertion-order differences.
 :func:`monitor_fingerprint` digests the monitor's canonicalised state
 (family, layer, neuron selection, codec parameters and the abstraction
 content itself) into a short hex string with these properties:
@@ -28,8 +28,6 @@ import hashlib
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
-
 __all__ = ["monitor_fingerprint"]
 
 
@@ -51,16 +49,7 @@ def _update_array(hasher, label: str, array) -> None:
 
 
 def _update_patterns(hasher, patterns) -> None:
-    try:
-        state = patterns.packed_state()
-    except ConfigurationError:
-        # Mirror not exact (manual non-contiguous add_code_sets use): the
-        # enumerated word list is the only canonical content left.  This
-        # materialises the BDD, but such sets never come off the format-2
-        # serving path.
-        words = np.asarray(sorted(patterns.iterate_words()), dtype=np.int64)
-        _update_array(hasher, "words", words.reshape(-1, patterns.num_positions))
-        return
+    state = patterns.packed_state()
     _update_array(hasher, "exact", _sorted_rows(state["exact"]))
     # Ternary rows and ranges are insertion-ordered in the mirror; sort the
     # value/mask (and low/high) planes as paired rows so two sets holding

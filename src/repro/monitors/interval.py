@@ -61,10 +61,8 @@ class IntervalPatternMonitor(ActivationMonitor):
         cut_strategy: str = "percentile",
         cut_points: Optional[np.ndarray] = None,
         neuron_indices: Optional[Sequence[int]] = None,
-        matcher_backend=None,
     ) -> None:
         super().__init__(network, layer_index, neuron_indices)
-        self.matcher_backend = matcher_backend
         if num_cuts < 1:
             raise ConfigurationError("num_cuts must be at least 1")
         self.num_cuts = int(num_cuts)
@@ -115,9 +113,7 @@ class IntervalPatternMonitor(ActivationMonitor):
             raise ShapeError("fit() needs at least one training input")
         self._set_cut_points(self._resolve_cut_points(features))
         self.patterns = PatternSet(
-            self.num_monitored_neurons,
-            bits_per_position=self.bits_per_neuron,
-            matcher_backend=self.matcher_backend_choice(),
+            self.num_monitored_neurons, bits_per_position=self.bits_per_neuron
         )
         self.patterns.add_patterns(self.codec.codes(features))
         self._fitted = True
@@ -190,7 +186,6 @@ class RobustIntervalPatternMonitor(IntervalPatternMonitor):
         cut_strategy: str = "percentile",
         cut_points: Optional[np.ndarray] = None,
         neuron_indices: Optional[Sequence[int]] = None,
-        matcher_backend=None,
     ) -> None:
         super().__init__(
             network,
@@ -199,7 +194,6 @@ class RobustIntervalPatternMonitor(IntervalPatternMonitor):
             cut_strategy=cut_strategy,
             cut_points=cut_points,
             neuron_indices=neuron_indices,
-            matcher_backend=matcher_backend,
         )
         if perturbation.layer >= layer_index:
             raise ConfigurationError(
@@ -223,9 +217,7 @@ class RobustIntervalPatternMonitor(IntervalPatternMonitor):
         features = self.features(training_inputs)
         self._set_cut_points(self._resolve_cut_points(features))
         self.patterns = PatternSet(
-            self.num_monitored_neurons,
-            bits_per_position=self.bits_per_neuron,
-            matcher_backend=self.matcher_backend_choice(),
+            self.num_monitored_neurons, bits_per_position=self.bits_per_neuron
         )
         self._ambiguous_positions = 0
         self._insert_robust_batch(training_inputs)

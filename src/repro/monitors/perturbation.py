@@ -14,8 +14,8 @@ a data set through the batched symbolic back-ends
 (:func:`repro.symbolic.propagation.perturbation_bounds_batch`) — one
 propagation for the whole set, no per-sample Python loop for the box and
 zonotope back-ends.  This is the inner loop of every robust monitor's
-``fit``.  :func:`collect_bound_arrays_loop` keeps the original one-row-at-a-
-time path as an executable reference for equivalence tests and benchmarks.
+``fit``.  The original one-row-at-a-time path, the reference for
+equivalence tests and benchmarks, lives in ``tests/oracles/symbolic.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "perturbation_estimates",
     "collect_estimates",
     "collect_bound_arrays",
-    "collect_bound_arrays_loop",
 ]
 
 
@@ -146,8 +145,8 @@ def collect_bound_arrays(
     ``i``.  The whole batch goes through one symbolic propagation — the box
     and zonotope back-ends perform no per-sample Python loop; the star
     back-end advances all rows' stars in lockstep and answers each layer's
-    bound queries through a pluggable star-LP backend
-    (:mod:`repro.symbolic.star_lp`), selectable via ``star_lp_backend``.
+    bound queries through the star-LP back-end (:mod:`repro.symbolic.star_lp`;
+    ``star_lp_backend`` substitutes an instance).
     A trivial spec (``Δ = 0``) degenerates to one batched forward pass with
     ``lows == highs``.
 
@@ -185,35 +184,3 @@ def collect_bound_arrays(
         anchors=anchors,
         star_lp_backend=star_lp_backend,
     )
-
-
-def collect_bound_arrays_loop(
-    network: Sequential,
-    inputs: np.ndarray,
-    monitored_layer: int,
-    spec: PerturbationSpec,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference implementation: one symbolic propagation per input row.
-
-    Semantically identical to :func:`collect_bound_arrays` but pays one full
-    abstract-domain walk per sample.  Kept as the ground truth the batched
-    path is pinned against (``tests/symbolic/test_batched.py``,
-    ``tests/monitors/test_robust_fit_batched.py``) and as the baseline the
-    robust-fit benchmark measures its speedup over.
-    """
-    if spec.layer >= monitored_layer:
-        raise ConfigurationError(
-            f"perturbation layer k_p={spec.layer} must be strictly before the "
-            f"monitored layer k={monitored_layer}"
-        )
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if spec.is_trivial:
-        features = np.atleast_2d(network.forward_to(monitored_layer, inputs))
-        return features, np.array(features, copy=True)
-    lows: List[np.ndarray] = []
-    highs: List[np.ndarray] = []
-    for row in inputs:
-        estimate = perturbation_estimate(network, row, monitored_layer, spec)
-        lows.append(np.atleast_1d(estimate.low))
-        highs.append(np.atleast_1d(estimate.high))
-    return np.vstack(lows), np.vstack(highs)

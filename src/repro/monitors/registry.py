@@ -166,24 +166,6 @@ class MonitorRegistry:
         with self._lock:
             return dict(self._monitors)
 
-    def set_matcher_backend(self, backend) -> Tuple[str, ...]:
-        """Re-bind every registered monitor to another matcher kernel.
-
-        Threads the back-end choice through all members that expose
-        ``set_matcher_backend`` (pattern monitors, ensembles,
-        class-conditional dispatchers) and returns the names of the members
-        that adopted it.  Back-ends are bit-for-bit equivalent, so this is
-        safe mid-stream: in-flight micro-batches score the same verdicts
-        either way.
-        """
-        switched = []
-        for name, monitor in self.snapshot().items():
-            setter = getattr(monitor, "set_matcher_backend", None)
-            if setter is not None:
-                setter(backend)
-                switched.append(name)
-        return tuple(switched)
-
     def names(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(self._monitors)

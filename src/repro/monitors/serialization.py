@@ -8,7 +8,7 @@ perturbation model) plus the abstraction state:
 
 * min-max monitors store the ``(lower, upper)`` envelope;
 * Boolean/interval pattern monitors store the *packed mirror* of their
-  pattern set (format 2, the default): the exact bit-packed rows, ternary
+  pattern set (format 2): the exact bit-packed rows, ternary
   value/mask bit-planes and per-position code ranges of
   :class:`~repro.runtime.matcher.PackedMatcher`.  This is a complete
   description of the stored set with no don't-care or Cartesian-product
@@ -18,8 +18,7 @@ perturbation model) plus the abstraction state:
   deployed monitor costs array I/O instead of a BDD build.
 
 Archives written by earlier versions (format 1, an explicit word list
-re-inserted on load) remain loadable; ``save_monitor(format=1)`` still
-writes them for tooling that expects enumerated words.
+re-inserted on load) remain loadable; only format 2 is written.
 
 The network itself is serialised separately (``repro.nn.serialization``); on
 load the caller passes the network so that weights are never duplicated.
@@ -33,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, NotFittedError, SerializationError
+from ..exceptions import NotFittedError, SerializationError
 from ..nn.network import Sequential
 from .base import ActivationMonitor
 from .boolean import BooleanPatternMonitor, RobustBooleanPatternMonitor
@@ -75,40 +74,23 @@ _PACKED_KEYS = {
 }
 
 
-def _pattern_arrays(monitor, arrays: dict, header: dict, fmt: int) -> None:
-    """Add the pattern-set image of a fitted pattern monitor to ``arrays``."""
-    if fmt == 2:
-        try:
-            state = monitor.patterns.packed_state()
-        except ConfigurationError:
-            # Mirror not exact (only reachable through manual add_code_sets
-            # use): fall back to the enumerated-words format.
-            fmt = 1
-        else:
-            header["format"] = 2
-            header["insertions"] = monitor.patterns.insertions
-            for state_key, array_key in _PACKED_KEYS.items():
-                arrays[array_key] = state[state_key]
-            return
-    header["format"] = 1
-    arrays["words"] = np.array(
-        list(monitor.patterns.iterate_words()), dtype=np.int64
-    ).reshape(-1, monitor.num_monitored_neurons)
+def _pattern_arrays(monitor, arrays: dict, header: dict) -> None:
+    """Add the packed-mirror image of a fitted pattern monitor to ``arrays``."""
+    state = monitor.patterns.packed_state()
+    header["format"] = 2
+    header["insertions"] = monitor.patterns.insertions
+    for state_key, array_key in _PACKED_KEYS.items():
+        arrays[array_key] = state[state_key]
 
 
-def save_monitor(
-    monitor: ActivationMonitor, path: Union[str, Path], format: int = 2
-) -> Path:
+def save_monitor(monitor: ActivationMonitor, path: Union[str, Path]) -> Path:
     """Serialise a fitted monitor to ``path`` (``.npz`` appended when missing).
 
-    ``format=2`` (default) stores pattern sets as their packed-mirror image
-    for compact artefacts and lazy-BDD cold starts; ``format=1`` stores the
-    enumerated word list of earlier versions.
+    Pattern sets are stored as their packed-mirror image (format 2) for
+    compact artefacts and lazy-BDD cold starts.
     """
     if not monitor.is_fitted:
         raise NotFittedError("only fitted monitors can be serialised")
-    if format not in (1, 2):
-        raise SerializationError(f"unknown serialisation format {format}")
     class_name = type(monitor).__name__
     if class_name not in _CLASS_NAMES:
         raise SerializationError(f"unsupported monitor class {class_name}")
@@ -129,11 +111,11 @@ def save_monitor(
         header["enlargement"] = monitor.enlargement
     if isinstance(monitor, BooleanPatternMonitor):
         arrays["thresholds"] = monitor.thresholds
-        _pattern_arrays(monitor, arrays, header, format)
+        _pattern_arrays(monitor, arrays, header)
         header["hamming_tolerance"] = monitor.hamming_tolerance
     if isinstance(monitor, IntervalPatternMonitor):
         arrays["cut_points"] = monitor.cut_points
-        _pattern_arrays(monitor, arrays, header, format)
+        _pattern_arrays(monitor, arrays, header)
         header["num_cuts"] = monitor.num_cuts
         header["cut_strategy"] = monitor.cut_strategy
     if isinstance(
@@ -150,19 +132,12 @@ def save_monitor(
     return path
 
 
-def _restore_patterns(
-    archive,
-    header: dict,
-    num_positions: int,
-    bits_per_position: int,
-    matcher_backend=None,
-):
+def _restore_patterns(archive, header: dict, num_positions: int, bits_per_position: int):
     """Rebuild a monitor's pattern set from a loaded archive.
 
     Format-2 archives restore the packed mirror directly (the BDD is
     materialised lazily on first BDD-dependent use); format-1 archives
-    re-insert the enumerated word list.  ``matcher_backend`` selects the
-    matcher kernel of the restored set.
+    re-insert the enumerated word list.
     """
     from ..bdd.patterns import PatternSet
 
@@ -176,31 +151,16 @@ def _restore_patterns(
             bits_per_position,
             state,
             insertions=header.get("insertions"),
-            matcher_backend=matcher_backend,
         )
-    patterns = PatternSet(
-        num_positions,
-        bits_per_position=bits_per_position,
-        matcher_backend=matcher_backend,
-    )
+    patterns = PatternSet(num_positions, bits_per_position=bits_per_position)
     words = archive["words"]
     if words.shape[0]:
         patterns.add_patterns(words)
     return patterns
 
 
-def load_monitor(
-    path: Union[str, Path], network: Sequential, matcher_backend=None
-) -> ActivationMonitor:
-    """Load a monitor saved by :func:`save_monitor`, re-attaching ``network``.
-
-    ``matcher_backend`` selects the matcher kernel of the restored pattern
-    set (a registry name from
-    :func:`repro.runtime.kernels.matcher_backends`, a kernel instance, or
-    ``None`` for the ``REPRO_MATCHER_BACKEND`` / ``numpy`` default) — the
-    on-disk format is backend-independent, so any archive loads under any
-    back-end with bit-identical verdicts.
-    """
+def load_monitor(path: Union[str, Path], network: Sequential) -> ActivationMonitor:
+    """Load a monitor saved by :func:`save_monitor`, re-attaching ``network``."""
     path = Path(path)
     if not path.exists():
         candidate = path.with_suffix(".npz")
@@ -259,13 +219,8 @@ def load_monitor(
                 hamming_tolerance=int(header.get("hamming_tolerance", 0)),
             )
         monitor.thresholds = archive["thresholds"]
-        monitor.matcher_backend = matcher_backend
         monitor.patterns = _restore_patterns(
-            archive,
-            header,
-            len(neuron_indices),
-            bits_per_position=1,
-            matcher_backend=matcher_backend,
+            archive, header, len(neuron_indices), bits_per_position=1
         )
     else:  # interval families
         cut_points = archive["cut_points"]
@@ -289,13 +244,8 @@ def load_monitor(
                 neuron_indices=neuron_indices,
             )
         monitor.cut_points = cut_points
-        monitor.matcher_backend = matcher_backend
         monitor.patterns = _restore_patterns(
-            archive,
-            header,
-            len(neuron_indices),
-            bits_per_position=monitor.bits_per_neuron,
-            matcher_backend=matcher_backend,
+            archive, header, len(neuron_indices), bits_per_position=monitor.bits_per_neuron
         )
 
     monitor._fitted = True

@@ -7,12 +7,11 @@ This package is the shared substrate under every monitor family:
 * :mod:`repro.runtime.codec` — batched binarisation of activation vectors
   against cut points, ternary value/mask bit-planes and code ranges for the
   Δ-robust abstractions;
-* :mod:`repro.runtime.matcher` — TCAM-style vectorised set membership
-  mirroring the canonical BDD representation;
-* :mod:`repro.runtime.kernels` — pluggable matcher execution back-ends
-  (``numpy`` reference, numba-``compiled`` fused pass, ``sharded``
-  thread-pool driver) behind a ``matcher_backends()`` registry, selected
-  per matcher or via ``REPRO_MATCHER_BACKEND``;
+* :mod:`repro.runtime.matcher` — TCAM-style vectorised set membership over
+  the minimal packed mirror that stores every pattern set;
+* :mod:`repro.runtime.kernels` — the matcher kernel: presorted exact
+  lookup, broadcast ternary compare and bit-sliced range table over one
+  consolidated match plan;
 * :mod:`repro.runtime.engine` — batched scoring with a per-layer activation
   cache so monitors sharing a network share forward passes.
 
@@ -25,17 +24,7 @@ single-sample answers agree by construction on any fixed workload.
 
 from .codec import PatternCodec, TernaryPlanes, WordCodec, default_tolerance
 from .engine import ActivationCache, BatchScore, BatchScoringEngine
-from .kernels import (
-    DEFAULT_MATCHER_BACKEND,
-    HAVE_NUMBA,
-    MATCHER_BACKEND_ENV,
-    MatcherKernel,
-    MatchPlan,
-    matcher_backends,
-    register_matcher_backend,
-    resolve_matcher_backend,
-    unregister_matcher_backend,
-)
+from .kernels import MatchPlan, NumpyMatcherKernel, resolve_matcher_backend
 from .matcher import PackedMatcher
 from .packing import (
     WORD_BITS,
@@ -60,15 +49,9 @@ __all__ = [
     "TernaryPlanes",
     "default_tolerance",
     "PackedMatcher",
-    "MatcherKernel",
+    "NumpyMatcherKernel",
     "MatchPlan",
-    "matcher_backends",
-    "register_matcher_backend",
-    "unregister_matcher_backend",
     "resolve_matcher_backend",
-    "MATCHER_BACKEND_ENV",
-    "DEFAULT_MATCHER_BACKEND",
-    "HAVE_NUMBA",
     "ActivationCache",
     "BatchScore",
     "BatchScoringEngine",

@@ -76,12 +76,11 @@ class ActivationCache:
             raise ConfigurationError("max_entries must be at least 1")
         self.network = network
         self.max_entries = int(max_entries)
-        #: Star-LP back-end suggestion forwarded to every star-method
-        #: propagation this cache performs (see repro.symbolic.star_lp).
-        #: ``None`` defers to REPRO_STAR_LP_BACKEND / the stacked default.
-        #: Deliberately *not* part of the bound-entry cache key: all
-        #: registered backends are pinned equivalent, so the backend choice
-        #: changes how bounds are computed, never what they are.
+        #: Star-LP back-end instance forwarded to every star-method
+        #: propagation this cache performs (``None``: the shared stacked
+        #: tier of repro.symbolic.star_lp).  Deliberately *not* part of the
+        #: bound-entry cache key: a substitute back-end (the tests' seed
+        #: loop) changes how bounds are computed, never what they are.
         self.star_lp_backend = star_lp_backend
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple, List[np.ndarray]]" = OrderedDict()
@@ -229,7 +228,7 @@ class BatchScoringEngine:
         self,
         network: Sequential,
         max_cache_entries: int = 16,
-        matcher_backend=None,
+        # perfbench relies on this keyword to read its own back-end's LP counts.
         star_lp_backend=None,
     ) -> None:
         self.network = network
@@ -238,16 +237,6 @@ class BatchScoringEngine:
             max_entries=max_cache_entries,
             star_lp_backend=star_lp_backend,
         )
-        #: Matcher-kernel back-end suggestion for monitors bound to this
-        #: engine: pattern monitors fitted while bound adopt it for their
-        #: pattern sets unless they carry an explicit choice of their own
-        #: (see ActivationMonitor.matcher_backend_choice).  ``None`` defers
-        #: to the ``REPRO_MATCHER_BACKEND`` env var / ``numpy`` default.
-        self.matcher_backend = matcher_backend
-        #: Star-LP back-end suggestion for star-method bound propagations
-        #: performed through this engine's cache; ``None`` defers to the
-        #: ``REPRO_STAR_LP_BACKEND`` env var / ``stacked`` default.
-        self.star_lp_backend = star_lp_backend
 
     # ------------------------------------------------------------------
     def layer_features(self, inputs: np.ndarray, layer_index: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 :class:`PackedMatcher` is the store of :class:`repro.bdd.patterns.PatternSet`:
 every insertion lands in three flat NumPy structures, and the set's BDD is
 only a view rebuilt from them on demand (for model counting, DAG size and
-word enumeration).  Batched membership runs through a pluggable *matcher
-kernel*, exactly like a ternary CAM in a network switch, and Hamming
+word enumeration).  Batched membership runs through the *matcher kernel*,
+exactly like a ternary CAM in a network switch, and Hamming
 relaxation through :meth:`PackedMatcher.min_distance`, one NumPy pass giving
 each probe its fewest differing positions to any stored row:
 
@@ -38,20 +38,15 @@ one Δ-perturbed pattern per training row and neighbouring rows overlap
 heavily, so most of them are covered: the minimal mirror is what keeps the
 ternary and range passes proportional to the set, not to the training set.
 The pairwise cover test runs on deduplicated rows, most general first, in
-blocks bounded by the kernels' ``CHUNK_ELEMENTS`` budget; a matcher holding
+blocks bounded by the kernel's ``CHUNK_ELEMENTS`` budget; a matcher holding
 only fully specified rows never runs it.  Matcher membership equals BDD
 membership (a property the test suite pins down).
 
-Kernel selection
-----------------
-The execution engine is chosen from :mod:`repro.runtime.kernels` — per
-matcher via the ``backend`` constructor argument (a registry name or kernel
-instance), or process-wide via ``REPRO_MATCHER_BACKEND``; the default is
-the ``numpy`` reference.  All registered back-ends are pinned bit-for-bit
-equivalent, so the choice only changes speed, never verdicts.  An *empty*
-matcher never dispatches a kernel at all: membership is an allocated
-all-False vector, so freshly constructed monitors pay no kernel resolution
-or JIT warm-up.
+Execution
+---------
+Membership runs on the one shared matcher kernel of
+:mod:`repro.runtime.kernels`.  An *empty* matcher never dispatches it at
+all: membership is an allocated all-False vector.
 """
 
 from __future__ import annotations
@@ -63,8 +58,7 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from .codec import TernaryPlanes, WordCodec
-from .kernels import BackendChoice, MatcherKernel, MatchPlan, resolve_matcher_backend
-from .kernels.numpy_backend import CHUNK_ELEMENTS
+from .kernels import CHUNK_ELEMENTS, KERNEL, MatchPlan
 from .packing import full_mask_words, popcount
 
 __all__ = ["PackedMatcher"]
@@ -205,21 +199,10 @@ class PackedMatcher:
     ----------
     word_codec:
         Bit layout of the mirrored pattern words.
-    backend:
-        Matcher-kernel choice: a registry name (``"numpy"``, ``"compiled"``,
-        ``"sharded"``, or anything registered via
-        :func:`~repro.runtime.kernels.register_matcher_backend`), a ready
-        :class:`~repro.runtime.kernels.MatcherKernel` instance, or ``None``
-        to defer to the ``REPRO_MATCHER_BACKEND`` environment variable /
-        the ``numpy`` default.  Resolution happens lazily at the first
-        non-trivial query, so constructing matchers is registry-free and an
-        invalid name fails with the valid choices listed.
     """
 
-    def __init__(self, word_codec: WordCodec, backend: BackendChoice = None) -> None:
+    def __init__(self, word_codec: WordCodec) -> None:
         self.word_codec = word_codec
-        self._backend_choice: BackendChoice = backend
-        self._kernel: Optional[MatcherKernel] = None
         num_words = word_codec.num_words
         # Fully specified rows, deduplicated and row-sorted (word 0 first);
         # ternary and range rows as their cover keys (see above).
@@ -234,25 +217,6 @@ class PackedMatcher:
         self._pending_masks: List[Sequence[int]] = []
         self._plan: Optional[MatchPlan] = None
         self._full_mask_cache: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    # kernel selection
-    # ------------------------------------------------------------------
-    def kernel(self) -> MatcherKernel:
-        """The resolved matcher kernel (resolving the choice on first use)."""
-        if self._kernel is None:
-            self._kernel = resolve_matcher_backend(self._backend_choice)
-        return self._kernel
-
-    def set_backend(self, backend: BackendChoice) -> None:
-        """Re-bind the matcher to another kernel back-end (state unchanged)."""
-        self._backend_choice = backend
-        self._kernel = None
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the active kernel (resolves the choice)."""
-        return self.kernel().name
 
     # ------------------------------------------------------------------
     # insertion
@@ -395,8 +359,8 @@ class PackedMatcher:
         * lies outside ``[low, high]``, for a range row.
 
         The minimum runs over every stored row, in one NumPy pass per row
-        kind, chunked to ``CHUNK_ELEMENTS`` like the kernels' broadcasts; it
-        does not depend on the kernel back-end.  An empty matcher answers
+        kind, chunked to ``CHUNK_ELEMENTS`` like the kernel's broadcasts.
+        An empty matcher answers
         ``num_positions + 1`` for every probe.  ``codes`` may be passed
         alongside to avoid re-unpacking.
         """
@@ -564,8 +528,7 @@ class PackedMatcher:
                 raise ShapeError("probe rows do not match the codec word width")
             num_probes = packed.shape[0]
         if self.is_empty or num_probes == 0:
-            # Allocated-shape early-out on every backend: no plan build, no
-            # kernel resolution/dispatch, no JIT warm-up.
+            # Allocated-shape early-out: no plan build, no kernel dispatch.
             return np.zeros(num_probes, dtype=bool)
         plan = self.match_plan()
         words = None
@@ -575,7 +538,7 @@ class PackedMatcher:
             codes = None
         elif codes is None:
             codes = self.word_codec.unpack_codes(packed)
-        return self.kernel().match(plan, words, codes=codes)
+        return KERNEL.match(plan, words, codes=codes)
 
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
         """Batched membership of probes given as ``(N, P)`` code matrices."""
@@ -602,5 +565,5 @@ class PackedMatcher:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PackedMatcher(exact={self.num_exact}, ternary={self.num_ternary}, "
-            f"ranges={self.num_ranges}, backend={self._backend_choice or 'default'})"
+            f"ranges={self.num_ranges})"
         )

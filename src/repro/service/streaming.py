@@ -444,16 +444,6 @@ class StreamingScorer:
             if getattr(monitor, "is_shadow", False)
         ]
 
-    def set_matcher_backend(self, backend):
-        """Switch every hosted monitor's matcher kernel mid-stream.
-
-        Matcher back-ends (see :mod:`repro.runtime.kernels`) are bit-for-bit
-        equivalent, so verdicts are unaffected — only the execution engine
-        of pattern membership changes.  Returns the names of the monitors
-        that adopted the new back-end.
-        """
-        return self.registry.set_matcher_backend(backend)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

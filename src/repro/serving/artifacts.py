@@ -18,7 +18,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Union
 
 from ..exceptions import SerializationError
 from ..monitors.serialization import load_monitor, save_monitor
@@ -92,7 +92,7 @@ def update_monitor_artifact(
             raise SerializationError(f"replacement artefact missing: {source}")
         shutil.copyfile(source, tmp_path)
     else:
-        save_monitor(source, tmp_path, format=2)
+        save_monitor(source, tmp_path)
     os.replace(tmp_path, target)
     return target
 
@@ -134,14 +134,9 @@ class DeploymentBundle:
     def load_network(self) -> Sequential:
         return load_network(self.network_path)
 
-    def load_monitors(
-        self, network: Sequential, matcher_backend: Optional[object] = None
-    ) -> Dict[str, object]:
+    def load_monitors(self, network: Sequential) -> Dict[str, object]:
         """Reconstruct every monitor of the bundle against ``network``."""
-        return {
-            name: load_monitor(path, network, matcher_backend=matcher_backend)
-            for name, path in self.monitor_paths.items()
-        }
+        return {name: load_monitor(path, network) for name, path in self.monitor_paths.items()}
 
     def describe(self) -> Dict[str, object]:
         return {

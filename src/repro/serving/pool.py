@@ -141,9 +141,6 @@ class WorkerPool:
         Crashed-worker replacement budget over the pool's lifetime; once
         exhausted and no worker remains, accepted frames fail with
         :class:`~repro.exceptions.WorkerCrashError`.
-    matcher_backend:
-        Matcher-kernel registry name workers score with (``None`` defers to
-        ``REPRO_MATCHER_BACKEND`` / the numpy default in each worker).
     pin_blas_threads:
         Export single-thread BLAS knobs to worker processes (recommended:
         process-level parallelism replaces BLAS thread pools).
@@ -157,7 +154,6 @@ class WorkerPool:
         mp_context: str = "spawn",
         slot_count: Optional[int] = None,
         max_restarts: int = 3,
-        matcher_backend: Optional[str] = None,
         pin_blas_threads: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -173,7 +169,6 @@ class WorkerPool:
         )
         self.num_workers_requested = int(num_workers)
         self.max_restarts = int(max_restarts)
-        self.matcher_backend = matcher_backend
         self.pin_blas_threads = bool(pin_blas_threads)
         self._clock = clock
         self._ctx = multiprocessing.get_context(mp_context)
@@ -262,7 +257,6 @@ class WorkerPool:
             ring_slots=self._ring.slots,
             ring_rows=self._ring.rows,
             ring_cols=self._ring.cols,
-            matcher_backend=self.matcher_backend,
             generation=self._generation,
         )
         process = self._ctx.Process(

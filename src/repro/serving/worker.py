@@ -57,7 +57,6 @@ class WorkerConfig:
     ring_slots: int
     ring_rows: int
     ring_cols: int
-    matcher_backend: Optional[str] = None
     #: Shared lifecycle generation counter (``multiprocessing.Value``); a
     #: bump tells workers to reload their monitors from the bundle.  Shared
     #: ctypes survive spawn pickling when passed through Process args.
@@ -88,7 +87,7 @@ def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) 
     try:
         bundle = DeploymentBundle(config.bundle_dir)
         network = bundle.load_network()
-        monitors = bundle.load_monitors(network, matcher_backend=config.matcher_backend)
+        monitors = bundle.load_monitors(network)
         engine = BatchScoringEngine(network)
         # The generation is read *after* the artefacts: booting mid-swap at
         # worst re-loads identical files on the next bump check.
@@ -105,9 +104,7 @@ def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) 
                 generation = current_generation()
                 if generation != loaded_generation:
                     bundle = DeploymentBundle(config.bundle_dir)
-                    monitors = bundle.load_monitors(
-                        network, matcher_backend=config.matcher_backend
-                    )
+                    monitors = bundle.load_monitors(network)
                     loaded_generation = generation
                     result_queue.put(("reloaded", worker_id, generation))
                 continue

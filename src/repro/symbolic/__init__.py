@@ -14,11 +14,12 @@ walk) behind :func:`~repro.symbolic.propagation.propagate_bounds_batch` /
 path robust monitor fits use to estimate whole training sets in one
 propagation.
 
-The star back-end's LP bound queries are themselves pluggable behind
-:func:`~repro.symbolic.star_lp.star_lp_backends` (closed-form hypercube
-tier, block-stacked sparse HiGHS solves, thread-sharded solves), selected
-per call, per :class:`~repro.symbolic.star.StarSet`, or via the
-``REPRO_STAR_LP_BACKEND`` environment variable.
+The star back-end answers its LP bound queries through
+:class:`~repro.symbolic.star_lp.StackedStarLPBackend`: a closed form while a
+star's predicate polytope is still the default hypercube, block-stacked
+sparse HiGHS solves once unstable ReLUs constrain it.  The seed per-row,
+per-dimension LP walk it is pinned against lives with the tests
+(``tests/oracles/symbolic.py``).
 """
 
 from .batched import BatchedBox, BatchedZonotope
@@ -35,18 +36,7 @@ from .propagation import (
     propagation_backends,
 )
 from .star import StarSet
-from .star_lp import (
-    DEFAULT_STAR_LP_BACKEND,
-    STAR_LP_BACKEND_ENV,
-    LoopStarLPBackend,
-    ShardedStarLPBackend,
-    StackedStarLPBackend,
-    StarLPBackend,
-    register_star_lp_backend,
-    resolve_star_lp_backend,
-    star_lp_backends,
-    unregister_star_lp_backend,
-)
+from .star_lp import StackedStarLPBackend, StarLPBackend, resolve_star_lp_backend
 from .zonotope import Zonotope
 
 __all__ = [
@@ -65,13 +55,6 @@ __all__ = [
     "perturbation_bounds_batch",
     "propagation_backends",
     "StarLPBackend",
-    "LoopStarLPBackend",
     "StackedStarLPBackend",
-    "ShardedStarLPBackend",
-    "STAR_LP_BACKEND_ENV",
-    "DEFAULT_STAR_LP_BACKEND",
-    "star_lp_backends",
-    "register_star_lp_backend",
-    "unregister_star_lp_backend",
     "resolve_star_lp_backend",
 ]

@@ -22,9 +22,9 @@ Two API levels are offered:
   rows in lockstep, layer by layer, so every bound query of the batch goes
   through one :mod:`~repro.symbolic.star_lp` back-end call — closed form
   (zero LPs) while predicate polytopes are still hypercubes, block-stacked
-  sparse HiGHS solves (optionally thread-sharded) once ReLUs go unstable.
-  The seed one-row-at-a-time star walk is kept as :func:`_star_bounds_loop`,
-  the reference the batched path is pinned against.
+  sparse HiGHS solves once ReLUs go unstable.  The seed one-row-at-a-time
+  star walk the batched path is pinned against lives with the tests
+  (``tests/oracles/symbolic.py``).
 
 The batched level is what robust monitor construction uses
 (:func:`repro.monitors.perturbation.collect_bound_arrays`); row ``i`` of a
@@ -137,10 +137,9 @@ def propagate_star(
 ) -> StarSet:
     """Star-set propagation from layer ``from_layer`` to ``to_layer``.
 
-    ``star_lp_backend`` selects the star-LP bound back-end
-    (:func:`repro.symbolic.star_lp.star_lp_backends`) answering the walk's
-    bound queries; ``None`` defers to ``REPRO_STAR_LP_BACKEND`` / the
-    ``stacked`` default.
+    ``star_lp_backend`` is the :class:`~repro.symbolic.star_lp.StarLPBackend`
+    instance answering the walk's bound queries (``None``: the shared
+    stacked tier).
     """
     _check_slice(network, from_layer, to_layer)
     return _propagate_geometric(
@@ -298,39 +297,6 @@ def _propagate_star_batch(
     return backend.bounds_many(stars)
 
 
-def _star_bounds_loop(
-    network: Sequential,
-    batched_box: BatchedBox,
-    from_layer: int,
-    to_layer: int,
-    star_lp_backend="loop",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Seed reference: the star back-end walked one row at a time.
-
-    Each row runs its own full symbolic walk and answers its bound queries
-    through ``star_lp_backend`` — by default the ``loop`` back-end, i.e. the
-    original ``2·d``-LPs-per-query path.  Kept as the ground truth the
-    lockstep :func:`_propagate_star_batch` is pinned against (exact on
-    hypercube stars when given a closed-form-capable back-end, LP-tolerance
-    otherwise) and as the baseline the E15 benchmark measures against.
-    """
-    backend = resolve_star_lp_backend(star_lp_backend)
-    batch = batched_box.batch_size
-    out_dim = network.layer_output_dim(to_layer)
-    lows = np.empty((batch, out_dim))
-    highs = np.empty((batch, out_dim))
-    for index in range(batch):
-        low, high = batched_box.row(index)
-        star = _propagate_geometric(
-            network,
-            StarSet.from_box(Box(low, high), lp_backend=backend),
-            from_layer,
-            to_layer,
-        )
-        lows[index], highs[index] = star.bounds()
-    return lows, highs
-
-
 def propagate_bounds_batch(
     network: Sequential,
     lows: np.ndarray,
@@ -347,8 +313,8 @@ def propagate_bounds_batch(
     is the axis-aligned hull of propagating box ``i`` with the chosen
     back-end — identical (box) or tolerance-close (zonotope, star) to the
     single-sample :func:`propagate_bounds` of that row.  ``star_lp_backend``
-    selects the star-LP bound back-end of the ``star`` method (ignored by
-    the others); ``None`` defers to ``REPRO_STAR_LP_BACKEND``.
+    is the star-LP back-end instance of the ``star`` method (ignored by the
+    others); ``None`` uses the shared stacked tier.
     """
     _check_method(method)
     _check_slice(network, from_layer, to_layer)

@@ -9,12 +9,11 @@ predicate variable ``alpha_i``) and ``C alpha <= d`` is a polyhedral
 constraint on the predicate variables (Tran et al., FM 2019 — reference [5]
 of the paper).  Star sets propagate *exactly* through affine layers, and the
 per-dimension bounds needed by the monitor construction are linear programs
-over the predicate polytope.  How those LPs are answered is pluggable
-(:mod:`repro.symbolic.star_lp`): while the polytope is still the default
-hypercube the bounds have an exact closed form (no LP at all), and
-genuinely constrained stars batch their ``2·d`` objectives into
-block-stacked sparse HiGHS solves instead of one ``scipy.optimize.linprog``
-call per dimension.
+over the predicate polytope, answered by :mod:`repro.symbolic.star_lp`:
+while the polytope is still the default hypercube the bounds have an exact
+closed form (no LP at all), and genuinely constrained stars batch their
+``2·d`` objectives into block-stacked sparse HiGHS solves instead of one
+``scipy.optimize.linprog`` call per dimension.
 
 ReLU layers are handled with the sound single-star over-approximation (the
 triangle relaxation applied per neuron, introducing one fresh predicate
@@ -30,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from ..exceptions import PropagationError, ShapeError
+from ..exceptions import ShapeError
 from .interval import Box
 from .star_lp import resolve_star_lp_backend
 
@@ -43,12 +42,10 @@ class StarSet:
     ``basis`` has shape ``(num_predicates, dimension)`` (one row per predicate
     variable, mirroring the zonotope generator layout).
 
-    ``lp_backend`` selects the star-LP bound back-end
-    (:func:`repro.symbolic.star_lp.star_lp_backends`) answering this star's
-    bound queries: a registry name, a ready back-end instance, or ``None``
-    for the ``REPRO_STAR_LP_BACKEND`` / ``stacked`` default.  The choice is
-    inherited by every star derived through :meth:`affine`, :meth:`relu` and
-    :meth:`elementwise_monotone`.
+    ``lp_backend`` is the :class:`~repro.symbolic.star_lp.StarLPBackend`
+    instance answering this star's bound queries, or ``None`` for the shared
+    stacked tier.  It is inherited by every star derived through
+    :meth:`affine`, :meth:`relu` and :meth:`elementwise_monotone`.
 
     ``hypercube_domain`` asserts that the supplied constraints are the
     default hypercube ``alpha ∈ [-1, 1]^m`` — the flag that unlocks the
@@ -132,52 +129,14 @@ class StarSet:
         """
         return self._hypercube_domain
 
-    def _dimension_bound(self, direction: np.ndarray, maximise: bool) -> float:
-        """LP bound of ``direction . x`` over the star (x = c + V^T alpha)."""
-        offset = float(direction @ self.center)
-        if self.num_predicates == 0:
-            return offset
-        coefficients = self.basis @ direction
-        sign = -1.0 if maximise else 1.0
-        result = linprog(
-            sign * coefficients,
-            A_ub=self.constraints_a,
-            b_ub=self.constraints_b,
-            bounds=[(None, None)] * self.num_predicates,
-            method="highs",
-        )
-        if not result.success:
-            raise PropagationError(
-                f"LP bound query failed: {result.message} (status {result.status})"
-            )
-        value = float(coefficients @ result.x)
-        return offset + value
-
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact per-dimension lower/upper bounds through the LP back-end.
 
         Dispatches to this star's :mod:`~repro.symbolic.star_lp` back-end:
         closed form (zero LPs) on a hypercube predicate domain, block-stacked
-        HiGHS solves otherwise.  Semantically identical to the seed
-        per-dimension walk kept in :meth:`_bounds_loop`.
+        HiGHS solves otherwise.
         """
         return resolve_star_lp_backend(self.lp_backend).bounds(self)
-
-    def _bounds_loop(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed reference: one dense LP per dimension per sense (``2·d`` calls).
-
-        This is the original bound walk, preserved verbatim as the ground
-        truth the registered back-ends are pinned against (and as the body
-        of the ``loop`` back-end).
-        """
-        low = np.empty(self.dimension)
-        high = np.empty(self.dimension)
-        for j in range(self.dimension):
-            direction = np.zeros(self.dimension)
-            direction[j] = 1.0
-            low[j] = self._dimension_bound(direction, maximise=False)
-            high[j] = self._dimension_bound(direction, maximise=True)
-        return low, high
 
     def to_box(self) -> Box:
         low, high = self.bounds()

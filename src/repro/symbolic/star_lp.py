@@ -1,52 +1,36 @@
-"""Star-set LP bound back-ends: batched bound queries behind a registry.
+"""Star-set LP bounds: the closed-form and block-stacked HiGHS tiers.
 
 The star domain answers every per-dimension bound query with a linear
 program over the star's predicate polytope.  The seed implementation
 entered ``scipy.optimize.linprog`` once per dimension per sense — ``2·d``
-Python round-trips into the solver for every star, which is why the star
-back-end trailed the fully vectorised box/zonotope paths by ~25×.  This
-module makes the bound machinery pluggable the same way matcher kernels
-(:func:`repro.runtime.kernels.matcher_backends`) and propagation domains
-(:func:`repro.symbolic.propagation.propagation_backends`) are pluggable,
-with three built-in tiers:
+Python round-trips into the solver for every star; ``tests/oracles/symbolic.py``
+keeps that loop as the reference the tiers below are pinned against.
+:class:`StackedStarLPBackend` answers a whole batch of bound queries with
+two fast paths:
 
-``loop``
-    The seed reference: one dense ``linprog`` call per dimension per sense.
-    Kept as the ground truth every other back-end is pinned against.
+* *Closed form*: while the predicate polytope is still the default
+  hypercube ``alpha ∈ [-1, 1]^m`` (no unstable ReLU crossed yet — the
+  common case in early layers), the bounds are exactly
+  ``center ± |basis|ᵀ·1`` — zero LPs, vectorised across all queried stars
+  at once.
+* *Block stacking*: for genuinely constrained stars the ``2·d``
+  unit-direction objectives of many stars are assembled into one
+  block-diagonal sparse HiGHS program per chunk.  The blocks share no
+  variables, so the one solve optimises every objective independently and
+  simultaneously; scipy is entered ``O(chunks)`` instead of
+  ``O(stars · 2·d)`` times.  Dimensions whose basis column is all-zero are
+  fixed points (``bound = center``) and skipped entirely.
 
-``stacked``
-    Two fast paths.  (1) *Closed form*: while the predicate polytope is
-    still the default hypercube ``alpha ∈ [-1, 1]^m`` (no unstable ReLU
-    crossed yet — the common case in early layers), the bounds are exactly
-    ``center ± |basis|ᵀ·1`` — zero LPs, vectorised across all queried stars
-    at once.  (2) *Block stacking*: for genuinely constrained stars the
-    ``2·d`` unit-direction objectives of many stars are assembled into one
-    block-diagonal sparse HiGHS program per chunk.  The blocks share no
-    variables, so the one solve optimises every objective independently and
-    simultaneously; scipy is entered ``O(chunks)`` instead of
-    ``O(stars · 2·d)`` times.  Dimensions whose basis column is all-zero
-    are fixed points (``bound = center``) and skipped entirely.
-
-``sharded``
-    The stacked tier driven from a shared thread pool, chunking over
-    constrained stars.  HiGHS runs outside the GIL for the bulk of a
-    solve, so shards genuinely overlap on multi-core hosts.
-
-Selection mirrors the matcher-kernel convention: per star set via
-``StarSet(..., lp_backend=...)``, per call via the ``star_lp_backend``
-keyword of the propagation / bound-collection APIs, process-wide via the
-``REPRO_STAR_LP_BACKEND`` environment variable, or by registering a custom
-back-end with :func:`register_star_lp_backend`.  Unknown names raise a
-:class:`~repro.exceptions.ConfigurationError` (a ``ValueError``) listing
-the valid :func:`star_lp_backends` keys.
+:func:`resolve_star_lp_backend` returns the one shared instance.  A
+:class:`StarLPBackend` instance may be passed wherever a ``star_lp_backend``
+/ ``lp_backend`` argument is taken (the tests substitute the seed loop that
+way); any other choice raises :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -56,23 +40,10 @@ from ..exceptions import ConfigurationError, PropagationError
 
 __all__ = [
     "StarLPBackend",
-    "LoopStarLPBackend",
     "StackedStarLPBackend",
-    "ShardedStarLPBackend",
-    "STAR_LP_BACKEND_ENV",
-    "DEFAULT_STAR_LP_BACKEND",
     "DEFAULT_STACK_CHUNK_ELEMENTS",
-    "star_lp_backends",
-    "register_star_lp_backend",
-    "unregister_star_lp_backend",
     "resolve_star_lp_backend",
 ]
-
-#: Environment variable that selects the process-wide default back-end.
-STAR_LP_BACKEND_ENV = "REPRO_STAR_LP_BACKEND"
-
-#: Back-end used when neither a call-site choice nor the env var is set.
-DEFAULT_STAR_LP_BACKEND = "stacked"
 
 #: Budget on the (estimated) non-zero count of one block-diagonal constraint
 #: matrix.  Each objective block replicates its star's polytope, so the
@@ -80,9 +51,6 @@ DEFAULT_STAR_LP_BACKEND = "stacked"
 #: dimensions is ``2·q·nnz``; chunks are cut at star granularity once the
 #: running total would exceed this.
 DEFAULT_STACK_CHUNK_ELEMENTS = 4_000_000
-
-#: Below this many constrained stars the sharded driver skips the pool.
-DEFAULT_MIN_SHARD_STARS = 4
 
 
 def _needs_lp(star) -> bool:
@@ -96,7 +64,9 @@ class StarLPBackend:
     The one required operation is :meth:`bounds_many` — per-dimension
     lower/upper bounds of a sequence of equal-dimension star sets, returned
     as ``(N, d)`` matrices.  :meth:`bounds` is the single-star convenience
-    wrapper used by :meth:`repro.symbolic.star.StarSet.bounds`.
+    wrapper used by :meth:`repro.symbolic.star.StarSet.bounds`.  The stacked
+    tier implements it here; the seed loop the tests pin it against
+    implements it in ``tests/oracles/symbolic.py``.
     """
 
     name = "abstract"
@@ -127,25 +97,6 @@ class StarLPBackend:
         )
 
 
-class LoopStarLPBackend(StarLPBackend):
-    """The seed per-dimension walk: ``2·d`` dense ``linprog`` calls per star.
-
-    Deliberately unoptimised — no closed form, no stacking — so it stays an
-    executable reference of the original semantics for equivalence tests
-    and the benchmark baseline.
-    """
-
-    name = "loop"
-
-    def bounds_many(self, stars: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        if not stars:
-            return np.zeros((0, 0)), np.zeros((0, 0))
-        lows, highs = self._output_arrays(stars)
-        for index, star in enumerate(stars):
-            lows[index], highs[index] = star._bounds_loop()
-        return lows, highs
-
-
 class StackedStarLPBackend(StarLPBackend):
     """Closed-form hypercube tier + block-stacked sparse HiGHS solves."""
 
@@ -156,6 +107,7 @@ class StackedStarLPBackend(StarLPBackend):
         self._stats_lock = threading.Lock()
         self.reset_stats()
 
+    # perfbench relies on stats, reset_stats and describe for its LP counts.
     def reset_stats(self) -> None:
         """Zero the tier-attribution counters (shared across threads)."""
         with self._stats_lock:
@@ -326,158 +278,18 @@ class StackedStarLPBackend(StarLPBackend):
         self._count(lp_programs=1, lp_objectives=len(meta))
 
 
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
+#: The instance every star walk answers its bound queries with.
+_SHARED = StackedStarLPBackend()
 
 
-def _shared_pool() -> ThreadPoolExecutor:
-    """Lazily created process-wide pool shared by every sharded back-end."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            workers = min(8, os.cpu_count() or 1)
-            _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-star-lp-shard"
-            )
-        return _POOL
-
-
-class ShardedStarLPBackend(StarLPBackend):
-    """Stacked solves driven from a shared thread pool, chunked over stars.
-
-    HiGHS spends the bulk of a solve in native code outside the GIL, so
-    contiguous shards of constrained stars genuinely overlap.  Closed-form
-    stars never touch the pool (they are one vectorised pass), and small
-    constrained batches fall through to the inner stacked back-end — the
-    sharded driver is safe to select unconditionally.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        inner: Optional[StackedStarLPBackend] = None,
-        min_shard_stars: int = DEFAULT_MIN_SHARD_STARS,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        self.inner = inner if inner is not None else StackedStarLPBackend()
-        self.min_shard_stars = max(1, int(min_shard_stars))
-        # None tracks the machine (min(8, cpu_count)); an explicit value
-        # forces the shard ceiling regardless of detected cores.
-        self.max_workers = None if max_workers is None else max(1, int(max_workers))
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return self.inner.stats
-
-    def reset_stats(self) -> None:
-        self.inner.reset_stats()
-
-    def describe(self) -> dict:
-        info = super().describe()
-        info["inner"] = self.inner.describe()
-        return info
-
-    def _num_shards(self, num_constrained: int) -> int:
-        workers = self.max_workers
-        if workers is None:
-            workers = min(8, os.cpu_count() or 1)
-        return max(1, min(workers, num_constrained // self.min_shard_stars))
-
-    def bounds_many(self, stars: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        if not stars:
-            return np.zeros((0, 0)), np.zeros((0, 0))
-        constrained = [i for i, star in enumerate(stars) if _needs_lp(star)]
-        num_shards = self._num_shards(len(constrained))
-        if num_shards == 1:
-            return self.inner.bounds_many(stars)
-        lows, highs = self._output_arrays(stars)
-        closed = [i for i, star in enumerate(stars) if not _needs_lp(star)]
-        if closed:
-            self.inner._closed_form(stars, closed, lows, highs)
-        # Shards write disjoint row sets of the shared output matrices.
-        bounds = np.linspace(0, len(constrained), num_shards + 1, dtype=np.int64)
-        pool = _shared_pool()
-        futures = [
-            pool.submit(
-                self.inner._lp_bounds,
-                stars,
-                constrained[int(bounds[s]) : int(bounds[s + 1])],
-                lows,
-                highs,
-            )
-            for s in range(num_shards)
-        ]
-        for future in futures:
-            future.result()
-        return lows, highs
-
-
-BackendChoice = Union[None, str, StarLPBackend]
-
-_BACKENDS: Dict[str, Callable[[], StarLPBackend]] = {}
-#: One shared instance per registry name (back-ends are stateless apart
-#: from attribution counters, and ``sharded`` deliberately shares its pool).
-_INSTANCES: Dict[str, StarLPBackend] = {}
-
-
-def register_star_lp_backend(name: str, factory: Callable[[], StarLPBackend]) -> None:
-    """Register (or replace) a star-LP back-end under ``name``.
-
-    ``factory`` is a zero-argument callable returning a
-    :class:`StarLPBackend`; it is invoked once and the instance reused for
-    every star set that selects ``name``.
-    """
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError("star-LP back-end name must be a non-empty string")
-    if not callable(factory):
-        raise ConfigurationError(f"star-LP back-end '{name}' factory is not callable")
-    _BACKENDS[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def unregister_star_lp_backend(name: str) -> None:
-    """Remove a back-end from the registry (built-ins may be re-registered)."""
-    _BACKENDS.pop(name, None)
-    _INSTANCES.pop(name, None)
-
-
-def star_lp_backends() -> Dict[str, Callable[[], StarLPBackend]]:
-    """Mapping of registered back-end name to factory (a copy)."""
-    return dict(_BACKENDS)
-
-
-def resolve_star_lp_backend(choice: BackendChoice = None) -> StarLPBackend:
-    """Turn a back-end choice into a ready back-end instance.
-
-    ``choice`` may be a back-end instance (returned as-is), a registry
-    name, or ``None`` — which reads ``REPRO_STAR_LP_BACKEND`` and falls
-    back to the ``stacked`` default.  Unknown names raise a
-    :class:`~repro.exceptions.ConfigurationError` (a ``ValueError``)
-    listing the valid :func:`star_lp_backends` keys.
-    """
+# perfbench relies on resolve_star_lp_backend(None) returning the shared instance.
+def resolve_star_lp_backend(choice=None) -> StarLPBackend:
+    """The shared :class:`StackedStarLPBackend`, or ``choice`` if it is a
+    :class:`StarLPBackend` instance; anything else is a ConfigurationError."""
+    if choice is None:
+        return _SHARED
     if isinstance(choice, StarLPBackend):
         return choice
-    name = choice
-    if name is None:
-        name = os.environ.get(STAR_LP_BACKEND_ENV, "").strip() or DEFAULT_STAR_LP_BACKEND
-    if name not in _BACKENDS:
-        valid = ", ".join(sorted(_BACKENDS))
-        raise ConfigurationError(
-            f"unknown star-LP backend '{name}'; valid backends are: {valid}"
-        )
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _BACKENDS[name]()
-        if not isinstance(instance, StarLPBackend):
-            raise ConfigurationError(
-                f"star-LP backend '{name}' factory returned "
-                f"{type(instance).__name__}, not a StarLPBackend"
-            )
-        _INSTANCES[name] = instance
-    return instance
-
-
-register_star_lp_backend("loop", LoopStarLPBackend)
-register_star_lp_backend("stacked", StackedStarLPBackend)
-register_star_lp_backend("sharded", ShardedStarLPBackend)
+    raise ConfigurationError(
+        f"star-LP backend {choice!r} is not available: pass None or a StarLPBackend instance"
+    )

@@ -21,7 +21,7 @@ from repro.monitors.quantitative import PatternDistanceMonitor
 from repro.monitors.registry import MonitorRegistry
 from repro.runtime import PackedMatcher, WordCodec
 
-from .test_minimal_mirror import all_backends, planes
+from .test_minimal_mirror import planes
 
 GAMMAS = (0, 1, 2)
 LAYER = 4
@@ -65,15 +65,11 @@ def pattern_sets(draw):
 @given(case=pattern_sets())
 def test_mirror_min_distance_equals_the_bdd_search(case):
     patterns, probes = case
-    answers = {}
-    for backend in all_backends():
-        patterns.set_matcher_backend(backend)
-        for gamma in GAMMAS:
-            answers[backend, gamma] = patterns.min_distance_batch(probes, gamma)
+    answers = {gamma: patterns.min_distance_batch(probes, gamma) for gamma in GAMMAS}
     assert not patterns.bdd_materialised or patterns.is_empty()
 
     reference = np.array([bdd_distance(patterns, word, max(GAMMAS)) for word in probes])
-    for (backend, gamma), distances in answers.items():
+    for gamma, distances in answers.items():
         expected = np.where(reference <= gamma, reference, gamma + 1)
         np.testing.assert_array_equal(distances, expected)
         within = [patterns.contains_within_hamming(list(word), gamma) for word in probes]
@@ -88,18 +84,16 @@ def test_min_distance_on_uint8_codes_equals_the_bdd_search(case):
     codes = probes.astype(np.uint8)
     packed = patterns.codec.pack_codes(codes)
     reference = np.array([bdd_distance(patterns, word, max(GAMMAS)) for word in probes])
-    for backend in all_backends():
-        patterns.set_matcher_backend(backend)
-        for gamma in GAMMAS:
-            expected = np.where(reference <= gamma, reference, gamma + 1)
-            np.testing.assert_array_equal(patterns.min_distance_batch(codes, gamma), expected)
-        # The matcher itself, on uint8 codes passed in and on unpacked ones.
-        if not patterns.is_empty():
-            for given_codes in (codes, None):
-                distances = patterns._matcher.min_distance(packed, codes=given_codes)
-                np.testing.assert_array_equal(
-                    np.minimum(distances, max(GAMMAS) + 1), reference
-                )
+    for gamma in GAMMAS:
+        expected = np.where(reference <= gamma, reference, gamma + 1)
+        np.testing.assert_array_equal(patterns.min_distance_batch(codes, gamma), expected)
+    # The matcher itself, on uint8 codes passed in and on unpacked ones.
+    if not patterns.is_empty():
+        for given_codes in (codes, None):
+            distances = patterns._matcher.min_distance(packed, codes=given_codes)
+            np.testing.assert_array_equal(
+                np.minimum(distances, max(GAMMAS) + 1), reference
+            )
 
 
 def test_min_distance_counts_positions_not_bits():

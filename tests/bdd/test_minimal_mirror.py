@@ -3,8 +3,8 @@
 Every insert keeps the mirror free of duplicates and of rows another stored
 row covers, and the BDD is built on demand from the kept rows only.  The
 canonical BDD is the oracle: after any interleaving of inserts and unions
-the mirror must answer exactly what the BDD answers, on every matcher
-back-end and across both serialization formats, and the lazily built BDD
+the mirror must answer exactly what the BDD answers, across both
+serialization formats, and the lazily built BDD
 must be the very one an eager, unpruned build of every inserted row gives.
 """
 
@@ -17,14 +17,7 @@ from repro.bdd.patterns import PatternSet
 from repro.runtime import PackedMatcher, WordCodec
 from repro.runtime import matcher as matcher_module
 from repro.runtime.codec import TernaryPlanes
-from repro.runtime.kernels import NumpyMatcherKernel, ShardedMatcherKernel, matcher_backends
 from repro.runtime.packing import pack_bool_matrix, unpack_bool_matrix
-
-
-def all_backends():
-    return sorted(matcher_backends()) + [
-        ShardedMatcherKernel(inner=NumpyMatcherKernel(), min_shard_rows=4, max_workers=2)
-    ]
 
 
 def planes(values, masks):
@@ -184,7 +177,7 @@ class TestCoverRules:
         monkeypatch.setattr(matcher_module, "_maximal_new_rows", forbidden)
         codec = WordCodec(1536, 1)
         rng = np.random.default_rng(5)
-        patterns = PatternSet(1536, matcher_backend="numpy")
+        patterns = PatternSet(1536)
         words = rng.integers(0, 2, size=(64, 1536))
         patterns.add_patterns(words)
         patterns.add_patterns(words[:8])
@@ -256,12 +249,10 @@ def operations(draw):
             ops.append(("ranges", (low, high)))
         elif kind == "ternary":
             ops.append(("ternary", (high == low, low.astype(bool))))
-        # Occasionally non-contiguous: the mirror then stops being exact
-        # and batched queries consult the BDD for its misses.
-        sets = [
-            sorted(set(rng.choice(num_codes, size=rng.integers(1, num_codes + 1))))
-            for _ in range(num_positions)
-        ]
+        # Contiguous, the only kind add_code_sets accepts.
+        firsts = rng.integers(0, num_codes, size=num_positions)
+        lasts = rng.integers(firsts, num_codes)
+        sets = [list(range(a, b + 1)) for a, b in zip(firsts.tolist(), lasts.tolist())]
         if kind == "code_sets":
             ops.append(("code_sets", sets))
         else:
@@ -319,8 +310,7 @@ def test_random_interleavings_keep_a_minimal_exact_mirror(case):
     probes = all_words(num_positions, bits)
     materialised = patterns.bdd_materialised
     mirror = patterns.contains_batch(probes)
-    if patterns._mirror_complete:
-        assert patterns.bdd_materialised == materialised  # no BDD needed
+    assert patterns.bdd_materialised == materialised  # no BDD needed
     expected = bdd_verdicts(patterns, probes)
     np.testing.assert_array_equal(mirror, expected)
     sample = probes[:: max(1, probes.shape[0] // 8)]
@@ -328,10 +318,6 @@ def test_random_interleavings_keep_a_minimal_exact_mirror(case):
         within = patterns.min_distance_batch(sample, gamma) <= gamma
         oracle = [patterns._within_hamming_bdd(list(word), gamma) for word in sample]
         assert within.tolist() == oracle
-    for backend in all_backends():
-        patterns.set_matcher_backend(backend)
-        np.testing.assert_array_equal(patterns.contains_batch(probes), expected)
-    patterns.set_matcher_backend(None)
 
     # The pruned build is the unpruned one, node for node.
     assert patterns.dag_size() == reference.manager.dag_size(reference.root)
@@ -352,8 +338,6 @@ def test_random_interleavings_keep_a_minimal_exact_mirror(case):
     np.testing.assert_array_equal(format1.contains_batch(probes), expected)
     assert_minimal(format1.packed_state(), format1.codec)
 
-    if not patterns._mirror_complete:
-        return
     # Format 2: the minimal image, and an old redundant image (every row
     # twice plus each stored row's words spelled out), load minimal.
     image = patterns.packed_state()
@@ -362,11 +346,8 @@ def test_random_interleavings_keep_a_minimal_exact_mirror(case):
         [redundant["exact"], patterns.codec.pack_codes(probes[expected])]
     ).astype("<u8")
     for state in (image, redundant):
-        for backend in all_backends():
-            restored = PatternSet.from_packed_state(
-                num_positions, bits, state, matcher_backend=backend
-            )
-            np.testing.assert_array_equal(restored.contains_batch(probes), expected)
+        restored = PatternSet.from_packed_state(num_positions, bits, state)
+        np.testing.assert_array_equal(restored.contains_batch(probes), expected)
         assert_minimal(restored.packed_state(), restored.codec)
         for key, value in image.items():
             assert restored.packed_state()[key].shape == value.shape

@@ -169,6 +169,11 @@ class TestMultiBitCodeSets:
     )
     def test_code_set_membership_property(self, sets, probe):
         patterns = PatternSet(3, bits_per_position=2)
+        if any(max(codes) - min(codes) + 1 != len(codes) for codes in sets):
+            with pytest.raises(ConfigurationError, match="non-contiguous"):
+                patterns.add_code_sets(sets)
+            assert patterns.is_empty() and patterns.insertions == 0
+            return
         patterns.add_code_sets(sets)
         expected = all(code in allowed for code, allowed in zip(probe, sets))
         assert patterns.contains(probe) == expected

@@ -117,12 +117,18 @@ class TestBulkRangeInsertion:
 
 
 class TestBatchMembershipFallback:
-    def test_non_contiguous_code_sets_still_answer_correctly(self):
-        """A non-contiguous set degrades the mirror to a BDD-backed fallback."""
+    def test_non_contiguous_code_sets_still_answer(self):
+        """A refused non-contiguous code set leaves the set answering exactly.
+
+        The mirror holds only contiguous code sets, so the insertion is
+        refused; the words stored before it still answer from the mirror.
+        """
         rng = np.random.default_rng(4)
         patterns = PatternSet(4, bits_per_position=2)
         patterns.add_word([0, 1, 2, 3])
-        patterns.add_code_sets([{0, 3}, {1}, {0, 2}, {1, 2}])  # non-contiguous
+        with pytest.raises(ConfigurationError, match="position 0 has a non-contiguous"):
+            patterns.add_code_sets([{0, 3}, {1}, {0, 2}, {1, 2}])
+        assert patterns.insertions == 1
         probes = rng.integers(0, 4, size=(256, 4))
         np.testing.assert_array_equal(
             patterns.contains_batch(probes), _brute_membership(patterns, probes)

@@ -4,8 +4,8 @@ The acceptance bar of the batched-propagation refactor: every robust monitor
 family must produce *identical* abstractions whether its perturbation
 estimates come from the batched back-ends
 (:func:`~repro.monitors.perturbation.collect_bound_arrays`) or from the
-original one-row-at-a-time reference
-(:func:`~repro.monitors.perturbation.collect_bound_arrays_loop`).  Pattern
+original one-row-at-a-time reference (``collect_bound_arrays_loop`` in
+``tests/oracles/symbolic.py``).  Pattern
 monitors are compared word-for-word (the codec's scale-relative tolerance
 absorbs the sub-ulp differences of batched BLAS kernels); the min-max
 envelope is compared at a float-round-off tolerance.
@@ -21,12 +21,10 @@ from repro.monitors.boolean import RobustBooleanPatternMonitor
 from repro.monitors.builder import ClassConditionalMonitor, MonitorBuilder
 from repro.monitors.interval import RobustIntervalPatternMonitor
 from repro.monitors.minmax import RobustMinMaxMonitor
-from repro.monitors.perturbation import (
-    PerturbationSpec,
-    collect_bound_arrays,
-    collect_bound_arrays_loop,
-)
+from repro.monitors.perturbation import PerturbationSpec, collect_bound_arrays
 from repro.runtime.engine import BatchScoringEngine
+
+from ..oracles.symbolic import collect_bound_arrays_loop
 
 MONITORED_LAYER = 4
 DELTA = 0.05

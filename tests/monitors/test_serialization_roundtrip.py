@@ -29,6 +29,8 @@ from repro.monitors.minmax import MinMaxMonitor, RobustMinMaxMonitor
 from repro.monitors.perturbation import PerturbationSpec
 from repro.monitors.serialization import load_monitor, save_monitor
 
+from ..oracles.serialization import save_monitor_format1
+
 FAMILIES = [
     "minmax",
     "robust_minmax",
@@ -83,7 +85,8 @@ def test_roundtrip_preserves_warn_batch_bit_for_bit(
     train = rng.uniform(-1.0, 1.0, size=(num_train, 6))
     probes = rng.uniform(-2.5, 2.5, size=(64, 6))
     monitor = _build(family, tiny_network, 4, delta, num_cuts, hamming).fit(train)
-    path = save_monitor(monitor, tmp_path / f"{family}_{fmt}_{seed}.npz", format=fmt)
+    save = save_monitor if fmt == 2 else save_monitor_format1
+    path = save(monitor, tmp_path / f"{family}_{fmt}_{seed}.npz")
     restored = load_monitor(path, tiny_network)
     np.testing.assert_array_equal(
         restored.warn_batch(probes), monitor.warn_batch(probes)
@@ -121,8 +124,8 @@ class TestPackedColdStart:
         monitor = RobustIntervalPatternMonitor(
             tiny_network, 4, spec, num_cuts=3
         ).fit(tiny_inputs)
-        packed = save_monitor(monitor, tmp_path / "packed.npz", format=2)
-        legacy = save_monitor(monitor, tmp_path / "legacy.npz", format=1)
+        packed = save_monitor(monitor, tmp_path / "packed.npz")
+        legacy = save_monitor_format1(monitor, tmp_path / "legacy.npz")
         assert monitor.patterns.cardinality() > monitor.num_training_samples
         assert packed.stat().st_size < legacy.stat().st_size
 
@@ -176,8 +179,8 @@ class TestPackedColdStart:
         rng = np.random.default_rng(5)
         train = rng.uniform(-1.0, 1.0, size=(4000, 8))
         monitor = BooleanPatternMonitor(network, 4, thresholds="mean").fit(train)
-        packed_path = save_monitor(monitor, tmp_path / "packed.npz", format=2)
-        legacy_path = save_monitor(monitor, tmp_path / "legacy.npz", format=1)
+        packed_path = save_monitor(monitor, tmp_path / "packed.npz")
+        legacy_path = save_monitor_format1(monitor, tmp_path / "legacy.npz")
 
         def best_of(load):
             times = []

@@ -85,3 +85,12 @@ def match_ranges(probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray) -> 
         probe_codes[:, None, :] <= high[None, :, :]
     )
     return inside.all(axis=2).any(axis=1)
+
+
+def match_ternary(probes: np.ndarray, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Ternary membership, one probe at a time: some row agrees on its mask."""
+    probes = np.asarray(probes, dtype=np.uint64)
+    return np.array(
+        [bool((((probe ^ values) & masks) == 0).all(axis=1).any()) for probe in probes],
+        dtype=bool,
+    )

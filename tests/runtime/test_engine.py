@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.monitors.boolean import BooleanPatternMonitor
+from repro.monitors.boolean import BooleanPatternMonitor, RobustBooleanPatternMonitor
 from repro.monitors.builder import ClassConditionalMonitor, MonitorBuilder
-from repro.monitors.minmax import MinMaxMonitor
+from repro.monitors.interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
+from repro.monitors.minmax import MinMaxMonitor, RobustMinMaxMonitor
+from repro.monitors.perturbation import PerturbationSpec
 from repro.runtime.engine import ActivationCache, BatchScoringEngine
 
 
@@ -193,3 +195,51 @@ class TestScoreBatchEdgeCases:
         score = engine.score_batch({"const": ConstantMonitor()}, probes)
         assert score.warns["const"].all()
         assert engine.cache.misses == 0
+
+
+class TestFeatureSlices:
+    """Monitors on a contiguous neuron run read the layer without copying it."""
+
+    def test_full_layer_features_share_memory_with_the_layer(self, tiny_network, tiny_inputs):
+        monitor = MinMaxMonitor(tiny_network, 4)
+        layer = tiny_network.forward_to(4, tiny_inputs)
+        features = monitor.features_from_layer(layer)
+        assert np.shares_memory(features, layer)
+        np.testing.assert_array_equal(features, layer)
+
+    def test_contiguous_subset_is_a_view_and_a_scattered_one_a_copy(
+        self, tiny_network, tiny_inputs
+    ):
+        layer = tiny_network.forward_to(4, tiny_inputs)
+        run = MinMaxMonitor(tiny_network, 4, neuron_indices=[5, 3, 4])
+        scattered = MinMaxMonitor(tiny_network, 4, neuron_indices=[1, 6])
+        np.testing.assert_array_equal(run.features_from_layer(layer), layer[:, 3:6])
+        np.testing.assert_array_equal(scattered.features_from_layer(layer), layer[:, [1, 6]])
+        assert np.shares_memory(run.features_from_layer(layer), layer)
+        assert not np.shares_memory(scattered.features_from_layer(layer), layer)
+
+    def test_six_monitor_score_batch_leaves_the_cached_entry_intact(
+        self, tiny_network, tiny_inputs, rng
+    ):
+        spec = PerturbationSpec(delta=0.05, layer=0, method="box")
+        monitors = {
+            "minmax": MinMaxMonitor(tiny_network, 4),
+            "robust_minmax": RobustMinMaxMonitor(tiny_network, 4, spec),
+            "boolean": BooleanPatternMonitor(tiny_network, 4, thresholds="mean"),
+            "robust_boolean": RobustBooleanPatternMonitor(
+                tiny_network, 4, spec, thresholds="mean"
+            ),
+            "interval": IntervalPatternMonitor(tiny_network, 4, num_cuts=2),
+            "robust_interval": RobustIntervalPatternMonitor(tiny_network, 4, spec, num_cuts=2),
+        }
+        for monitor in monitors.values():
+            monitor.fit(tiny_inputs)
+        engine = BatchScoringEngine(tiny_network)
+        probes = rng.uniform(-2.0, 2.0, size=(32, 6))
+        entry = engine.cache.activation_entry(probes)
+        before = [layer.tobytes() for layer in entry]
+        score = engine.score_batch(monitors, probes, want_verdicts=True)
+        assert engine.cache.misses == 1 and engine.cache.hits == 1  # scored off the entry
+        assert [layer.tobytes() for layer in entry] == before
+        for name, monitor in monitors.items():
+            np.testing.assert_array_equal(score.warns[name], monitor.warn_batch(probes))

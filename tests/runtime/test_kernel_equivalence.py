@@ -1,13 +1,13 @@
-"""Property tests: every matcher back-end is bit-identical to ``numpy``.
+"""Property tests: the matcher kernel is bit-identical to the reference passes.
 
-The back-end registry's contract is that kernels are interchangeable
-*executions* of one plan, never different semantics.  These tests generate
-random mixes of exact, ternary and range structures over random codec
-shapes — widths deliberately straddling the 64-bit machine-word boundary —
-and pin every registered back-end (plus a forced-sharding configuration
-that always splits the probe batch) to the reference verdict vector, both
-on live matchers and across the ``packed_state`` → ``from_packed_state``
-serialisation round-trip.
+The kernel answers every verdict, so its presorted exact lookup, ternary
+broadcast and bit-sliced range table are pinned against the straightforward
+formulations of ``tests/oracles/runtime.py``.  These tests generate random
+mixes of exact, ternary and range structures over random codec shapes —
+widths deliberately straddling the 64-bit machine-word boundary — and check
+the verdict vector on live matchers, across the ``export_state`` reload and
+across the ``packed_state`` → ``from_packed_state`` round-trip of a whole
+pattern set.
 """
 
 import numpy as np
@@ -16,24 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd.patterns import PatternSet
+from repro.exceptions import ConfigurationError
 from repro.runtime import PackedMatcher, WordCodec
-from repro.runtime.codec import PatternCodec
-from repro.runtime.kernels import (
-    NumpyMatcherKernel,
-    ShardedMatcherKernel,
-    matcher_backends,
-)
+from repro.runtime.codec import PatternCodec, TernaryPlanes
+from repro.runtime.kernels import resolve_matcher_backend
 
-BACKENDS = sorted(matcher_backends())
-
-
-def alternate_kernels():
-    """Every registered back-end plus a forced-multi-shard configuration."""
-    kernels = list(BACKENDS)
-    kernels.append(
-        ShardedMatcherKernel(inner=NumpyMatcherKernel(), min_shard_rows=4, max_workers=4)
-    )
-    return kernels
+from ..oracles import runtime as oracle
 
 
 @st.composite
@@ -80,17 +68,35 @@ def matcher_workloads(draw):
     }
 
 
-def build_matcher(codec, workload, backend):
-    matcher = PackedMatcher(codec.word_codec, backend=backend)
+def build_matcher(codec, workload):
+    matcher = PackedMatcher(codec.word_codec)
     if workload["exact"].shape[0]:
         matcher.add_exact_packed(codec.word_codec.pack_codes(workload["exact"]))
     if workload["range_low"].shape[0]:
         matcher.add_code_ranges(workload["range_low"], workload["range_high"])
     if workload["ternary_centres"].shape[0]:
-        low = workload["ternary_centres"] - workload["ternary_spans"]
-        high = workload["ternary_centres"] + workload["ternary_spans"]
-        matcher.add_ternary(codec.ternary_planes(low, high))
+        matcher.add_ternary(codec.ternary_planes(*ternary_bounds(workload)))
     return matcher
+
+
+def ternary_bounds(workload):
+    centres, spans = workload["ternary_centres"], workload["ternary_spans"]
+    return centres - spans, centres + spans
+
+
+def oracle_membership(codec, workload):
+    """The workload's verdict vector from the reference passes."""
+    probes = workload["probes"]
+    bits = codec.word_codec.bits_per_position
+    packed = oracle.pack_bool_matrix(oracle.code_bits(probes, bits))
+    hits = oracle.match_ranges(probes, workload["range_low"], workload["range_high"])
+    hits |= oracle.match_exact(
+        packed, oracle.pack_bool_matrix(oracle.code_bits(workload["exact"], bits))
+    )
+    if workload["ternary_centres"].shape[0]:
+        planes = codec.ternary_planes(*ternary_bounds(workload))
+        hits |= oracle.match_ternary(packed, planes.values, planes.masks)
+    return hits
 
 
 def make_codec(workload):
@@ -104,47 +110,27 @@ class TestBackendEquivalence:
     @given(workload=matcher_workloads())
     def test_all_backends_bit_identical(self, workload):
         codec = make_codec(workload)
-        reference = build_matcher(codec, workload, "numpy")
-        expected = reference.contains_codes(workload["probes"])
+        expected = oracle_membership(codec, workload)
+        matcher = build_matcher(codec, workload)
         packed = codec.word_codec.pack_codes(workload["probes"])
-        for backend in alternate_kernels():
-            candidate = build_matcher(codec, workload, backend)
-            np.testing.assert_array_equal(
-                candidate.contains_codes(workload["probes"]),
-                expected,
-                err_msg=f"backend {backend!r} diverged on codes",
-            )
-            np.testing.assert_array_equal(
-                candidate.contains_packed(packed),
-                expected,
-                err_msg=f"backend {backend!r} diverged on packed probes",
-            )
+        np.testing.assert_array_equal(matcher.contains_codes(workload["probes"]), expected)
+        np.testing.assert_array_equal(matcher.contains_packed(packed), expected)
 
     @settings(max_examples=25, deadline=None)
     @given(workload=matcher_workloads())
     def test_export_state_reload_keeps_equivalence(self, workload):
         codec = make_codec(workload)
-        reference = build_matcher(codec, workload, "numpy")
-        expected = reference.contains_codes(workload["probes"])
-        state = reference.export_state()
-        for backend in alternate_kernels():
-            clone = PackedMatcher(codec.word_codec, backend=backend)
-            clone.add_exact_packed(state["exact"])
-            if state["ternary_values"].shape[0]:
-                from repro.runtime.codec import TernaryPlanes
-
-                clone.add_ternary(
-                    TernaryPlanes(
-                        values=state["ternary_values"], masks=state["ternary_masks"]
-                    )
-                )
-            if state["range_low"].shape[0]:
-                clone.add_code_ranges(state["range_low"], state["range_high"])
-            np.testing.assert_array_equal(
-                clone.contains_codes(workload["probes"]),
-                expected,
-                err_msg=f"backend {backend!r} diverged after export_state reload",
+        expected = oracle_membership(codec, workload)
+        state = build_matcher(codec, workload).export_state()
+        clone = PackedMatcher(codec.word_codec)
+        clone.add_exact_packed(state["exact"])
+        if state["ternary_values"].shape[0]:
+            clone.add_ternary(
+                TernaryPlanes(values=state["ternary_values"], masks=state["ternary_masks"])
             )
+        if state["range_low"].shape[0]:
+            clone.add_code_ranges(state["range_low"], state["range_high"])
+        np.testing.assert_array_equal(clone.contains_codes(workload["probes"]), expected)
 
 
 class TestPatternSetEquivalence:
@@ -159,14 +145,12 @@ class TestPatternSetEquivalence:
         rng = np.random.default_rng(seed)
         words = rng.integers(0, 2, size=(10, num_positions))
         probes = np.vstack([words[:5], rng.integers(0, 2, size=(20, num_positions))])
-        reference = PatternSet(num_positions)
-        reference.add_patterns(words)
-        expected = reference.contains_batch(probes)
+        patterns = PatternSet(num_positions)
+        patterns.add_patterns(words)
+        stored = {tuple(row) for row in words.tolist()}
+        expected = np.array([tuple(row) in stored for row in probes.tolist()])
         assert expected[:5].all()
-        for backend in alternate_kernels():
-            candidate = PatternSet(num_positions, matcher_backend=backend)
-            candidate.add_patterns(words)
-            np.testing.assert_array_equal(candidate.contains_batch(probes), expected)
+        np.testing.assert_array_equal(patterns.contains_batch(probes), expected)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -186,27 +170,24 @@ class TestPatternSetEquivalence:
         probes = np.vstack(
             [words, low, rng.integers(0, num_codes, size=(25, num_positions))]
         )
-        expected = original.contains_batch(probes)
-        state = original.packed_state()
-        for backend in alternate_kernels():
-            restored = PatternSet.from_packed_state(
-                num_positions,
-                bits,
-                state,
-                insertions=original.insertions,
-                matcher_backend=backend,
-            )
-            np.testing.assert_array_equal(restored.contains_batch(probes), expected)
-            if isinstance(backend, str):
-                assert restored.matcher_backend == backend
+        expected = oracle.match_ranges(probes, low, high) | oracle.match_exact(
+            oracle.pack_bool_matrix(oracle.code_bits(probes, bits)),
+            oracle.pack_bool_matrix(oracle.code_bits(words, bits)),
+        )
+        np.testing.assert_array_equal(original.contains_batch(probes), expected)
+        restored = PatternSet.from_packed_state(
+            num_positions, bits, original.packed_state(), insertions=original.insertions
+        )
+        np.testing.assert_array_equal(restored.contains_batch(probes), expected)
 
 
 def test_unknown_backend_rejected_with_choice_list():
-    matcher = PackedMatcher(WordCodec(8, 1), backend="no-such-kernel")
-    matcher.add_ternary_raw([1], [3])
-    with pytest.raises(ValueError) as excinfo:
-        matcher.contains_packed(np.zeros((2, 1), dtype=np.uint64))
+    """A back-end choice is refused up front, naming the one kernel there is."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        resolve_matcher_backend("no-such-kernel")
     message = str(excinfo.value)
     assert "no-such-kernel" in message
-    for name in matcher_backends():
-        assert name in message
+    assert "numpy" in message
+    # Matchers take no choice at all, so no bad name can wait for a query.
+    with pytest.raises(TypeError):
+        PackedMatcher(WordCodec(8, 1), backend="no-such-kernel")

@@ -8,7 +8,7 @@ codec (``int64`` codes, per-bit shifts), the packing (an OR-reduce over one
 bit-sliced range table against them on hostile inputs: values exactly on
 ``cut + tol``, NaN and ±inf, widths that are not multiples of 8 or 64,
 range sets wider than one 64-row bitmap word, and probe codes above every
-stored ``high`` — on every matcher back-end, forced sharding included.
+stored ``high``.
 """
 
 import numpy as np
@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 
 from repro.runtime import PackedMatcher, WordCodec
 from repro.runtime.codec import PatternCodec
-from repro.runtime.kernels import resolve_matcher_backend
+from repro.runtime.kernels import KERNEL
 from repro.runtime.packing import pack_bool_matrix, unpack_bool_matrix
 
 from ..oracles import runtime as oracle
-from .test_kernel_equivalence import alternate_kernels
 
 #: Widths around byte and machine-word boundaries (and plenty that are not).
 WIDTHS = st.sampled_from([1, 3, 7, 8, 9, 31, 63, 64, 65, 100, 127, 128, 129, 150])
@@ -169,43 +168,41 @@ def test_matcher_passes_match_the_oracle_on_every_backend(workload):
     assert codes.dtype == np.uint8
     packed = codec.pack_codes(codes)
     exact_packed = codec.pack_codes(exact)
-    for backend in alternate_kernels():
-        matcher = PackedMatcher(codec, backend=backend)
-        if low.shape[0]:
-            matcher.add_code_ranges(low, high)
-        if exact.shape[0]:
-            matcher.add_exact_packed(exact_packed)
-        np.testing.assert_array_equal(matcher.contains_codes(probes), expected)
-        np.testing.assert_array_equal(matcher.contains_packed(packed), expected)
-        np.testing.assert_array_equal(matcher.contains_packed(None, codes), expected)
+    matcher = PackedMatcher(codec)
+    if low.shape[0]:
+        matcher.add_code_ranges(low, high)
+    if exact.shape[0]:
+        matcher.add_exact_packed(exact_packed)
+    np.testing.assert_array_equal(matcher.contains_codes(probes), expected)
+    np.testing.assert_array_equal(matcher.contains_packed(packed), expected)
+    np.testing.assert_array_equal(matcher.contains_packed(None, codes), expected)
 
-        # The per-structure passes on the raw (unminimised) rows, with and
-        # without the plan's derived lookup structures.
-        kernel = resolve_matcher_backend(backend)
-        if low.shape[0]:
-            reference = oracle.match_ranges(probes, low, high)
-            np.testing.assert_array_equal(kernel.match_ranges(codes, low, high), reference)
-            plan = PackedMatcher(codec)
-            plan.add_code_ranges(low, high)
-            plan = plan.match_plan()
-            if plan.range_low is not None:
-                assert plan.range_table.shape == (
-                    -(-plan.range_low.shape[0] // 64),
-                    codec.num_positions,
-                    codec.num_codes,
-                )
-                np.testing.assert_array_equal(
-                    kernel.match_ranges(
-                        codes, plan.range_low, plan.range_high, table=plan.range_table
-                    ),
-                    oracle.match_ranges(probes, plan.range_low, plan.range_high),
-                )
-        if exact.shape[0]:
-            plan = PackedMatcher(codec)
-            plan.add_exact_packed(exact_packed)
-            plan = plan.match_plan()
-            reference = oracle.match_exact(packed, exact_packed)
-            np.testing.assert_array_equal(kernel.match_exact(packed, plan.exact), reference)
-            np.testing.assert_array_equal(
-                kernel.match_exact(packed, plan.exact, keys=plan.exact_keys), reference
+    # The per-structure passes on the raw (unminimised) rows, with and
+    # without the plan's derived lookup structures.
+    if low.shape[0]:
+        reference = oracle.match_ranges(probes, low, high)
+        np.testing.assert_array_equal(KERNEL.match_ranges(codes, low, high), reference)
+        plan = PackedMatcher(codec)
+        plan.add_code_ranges(low, high)
+        plan = plan.match_plan()
+        if plan.range_low is not None:
+            assert plan.range_table.shape == (
+                -(-plan.range_low.shape[0] // 64),
+                codec.num_positions,
+                codec.num_codes,
             )
+            np.testing.assert_array_equal(
+                KERNEL.match_ranges(
+                    codes, plan.range_low, plan.range_high, table=plan.range_table
+                ),
+                oracle.match_ranges(probes, plan.range_low, plan.range_high),
+            )
+    if exact.shape[0]:
+        plan = PackedMatcher(codec)
+        plan.add_exact_packed(exact_packed)
+        plan = plan.match_plan()
+        reference = oracle.match_exact(packed, exact_packed)
+        np.testing.assert_array_equal(KERNEL.match_exact(packed, plan.exact), reference)
+        np.testing.assert_array_equal(
+            KERNEL.match_exact(packed, plan.exact, keys=plan.exact_keys), reference
+        )

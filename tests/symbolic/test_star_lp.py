@@ -1,14 +1,13 @@
-"""Star-LP back-end registry, tier equivalence, and soundness.
+"""The stacked star-LP tier against the seed loop, and soundness.
 
-The contract under test: every registered star-LP back-end answers the
-same bound queries as the seed per-dimension loop
-(:class:`~repro.symbolic.star_lp.LoopStarLPBackend`, reachable through
-:func:`~repro.symbolic.propagation._star_bounds_loop`) — bit-identically
-while the predicate polytopes are hypercubes (closed-form tier), and
-within LP tolerance once unstable ReLUs constrain them.  On top of the
-pinned equivalence, bounds must stay sound (contain sampled perturbed
-outputs) and star-backed robust fits must produce identical abstractions
-whichever back-end computed their perturbation estimates.
+The contract under test: :class:`~repro.symbolic.star_lp.StackedStarLPBackend`
+answers the same bound queries as the seed per-dimension loop
+(``tests/oracles/symbolic.py``) — bit-identically while the predicate
+polytopes are hypercubes (closed-form tier), and within LP tolerance once
+unstable ReLUs constrain them.  On top of the pinned equivalence, bounds
+must stay sound (contain sampled perturbed outputs) and star-backed robust
+fits must produce identical abstractions whichever back-end computed their
+perturbation estimates.
 """
 
 from __future__ import annotations
@@ -22,22 +21,12 @@ from repro.exceptions import ConfigurationError
 from repro.nn.network import mlp
 from repro.symbolic.batched import BatchedBox
 from repro.symbolic.interval import Box
-from repro.symbolic.propagation import (
-    _star_bounds_loop,
-    perturbation_bounds_batch,
-)
+from repro.symbolic.propagation import perturbation_bounds_batch
 from repro.symbolic.star import StarSet
-from repro.symbolic.star_lp import (
-    DEFAULT_STAR_LP_BACKEND,
-    STAR_LP_BACKEND_ENV,
-    LoopStarLPBackend,
-    ShardedStarLPBackend,
-    StackedStarLPBackend,
-    register_star_lp_backend,
-    resolve_star_lp_backend,
-    star_lp_backends,
-    unregister_star_lp_backend,
-)
+from repro.symbolic import star_lp as star_lp_module
+from repro.symbolic.star_lp import StackedStarLPBackend, StarLPBackend, resolve_star_lp_backend
+
+from ..oracles.symbolic import LoopStarLPBackend, star_bounds_loop, star_bounds_loop_batch
 
 #: LP-tier agreement bound (ISSUE acceptance: within 1e-6 of the seed loop).
 LP_ATOL = 1e-6
@@ -48,80 +37,119 @@ def relu_network():
     return mlp(5, [10, 8], 3, activation="relu", seed=31)
 
 
-def forced_sharding_backend():
-    """A sharded config that genuinely splits even tiny batches."""
-    return ShardedStarLPBackend(min_shard_stars=1, max_workers=4)
+class ShardedCalls(StackedStarLPBackend):
+    """The stacked tier fed its stars ``shard`` at a time, answers concatenated.
+
+    The stacked tier groups the stars of one call by basis shape and solves
+    their LPs together; its answers must not depend on which stars share a
+    call.
+    """
+
+    def __init__(self, shard: int) -> None:
+        super().__init__()
+        self.shard = shard
+        self.calls = 0
+
+    def bounds_many(self, stars):
+        stars = list(stars)
+        parts = []
+        for start in range(0, max(len(stars), 1), self.shard):
+            self.calls += 1
+            parts.append(super().bounds_many(stars[start : start + self.shard]))
+        if len(parts) == 1:
+            return parts[0]
+        return np.vstack([low for low, _ in parts]), np.vstack([high for _, high in parts])
 
 
+#: The stacked tier as the robust fit calls it, against the seed loop.  The
+#: ``sharded`` labels feed it stars in shards (``forced-sharding``: one star
+#: a call), pinning that batch composition never changes an answer.
 TIER_CONFIGS = [
-    ("loop", lambda: "loop"),
-    ("stacked", lambda: "stacked"),
-    ("sharded", lambda: "sharded"),
-    ("forced-sharding", forced_sharding_backend),
+    ("loop", lambda: LoopStarLPBackend()),
+    ("stacked", lambda: None),
+    ("sharded", lambda: ShardedCalls(shard=4)),
+    ("forced-sharding", lambda: ShardedCalls(shard=1)),
 ]
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"loop", "stacked", "sharded"} <= set(star_lp_backends())
+        assert isinstance(resolve_star_lp_backend(None), StackedStarLPBackend)
+        # The registry, its environment variable and the other tiers are gone;
+        # the seed loop lives with the tests.
+        for name in (
+            "STAR_LP_BACKEND_ENV",
+            "DEFAULT_STAR_LP_BACKEND",
+            "LoopStarLPBackend",
+            "ShardedStarLPBackend",
+            "register_star_lp_backend",
+            "unregister_star_lp_backend",
+            "star_lp_backends",
+        ):
+            assert not hasattr(star_lp_module, name), name
 
     def test_unknown_name_raises_value_error_listing_backends(self):
         with pytest.raises(ValueError) as excinfo:
             resolve_star_lp_backend("no-such-backend")
         message = str(excinfo.value)
         assert "no-such-backend" in message
-        for name in star_lp_backends():
-            assert name in message
-
-    def test_unknown_name_is_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            resolve_star_lp_backend("definitely-not-registered")
-
-    def test_instance_passthrough(self):
-        backend = StackedStarLPBackend()
-        assert resolve_star_lp_backend(backend) is backend
-
-    def test_named_backends_are_shared_instances(self):
-        assert resolve_star_lp_backend("stacked") is resolve_star_lp_backend("stacked")
+        assert "StarLPBackend instance" in message
 
     def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv(STAR_LP_BACKEND_ENV, "loop")
-        assert isinstance(resolve_star_lp_backend(None), LoopStarLPBackend)
-        monkeypatch.delenv(STAR_LP_BACKEND_ENV)
-        resolved = resolve_star_lp_backend(None)
-        assert resolved is resolve_star_lp_backend(DEFAULT_STAR_LP_BACKEND)
+        """The environment selects nothing: a stale override is ignored."""
+        shared = resolve_star_lp_backend(None)
+        monkeypatch.setenv("REPRO_STAR_LP_BACKEND", "loop")
+        assert resolve_star_lp_backend(None) is shared
 
-    def test_register_and_unregister_custom_backend(self):
+    def test_register_and_unregister_custom_backend(self, rng):
+        """A custom back-end serves the call it is passed to, and only that call."""
+
         class Recording(StackedStarLPBackend):
-            name = "recording"
+            def bounds_many(self, stars):
+                self.seen = len(stars)
+                return super().bounds_many(stars)
 
-        try:
-            register_star_lp_backend("recording", Recording)
-            assert isinstance(resolve_star_lp_backend("recording"), Recording)
-        finally:
-            unregister_star_lp_backend("recording")
-        with pytest.raises(ConfigurationError):
-            resolve_star_lp_backend("recording")
+        recording = Recording()
+        assert resolve_star_lp_backend(recording) is recording
+        inputs = rng.uniform(-1.0, 1.0, size=(3, 6))
+        network = mlp(6, [5], 2, activation="relu", seed=3)
+        perturbation_bounds_batch(
+            network, inputs, 2, 0, 0.05, "star", star_lp_backend=recording
+        )
+        assert recording.seen == 3
+        assert resolve_star_lp_backend(None) is not recording
 
     def test_register_rejects_bad_arguments(self):
-        with pytest.raises(ConfigurationError):
-            register_star_lp_backend("", StackedStarLPBackend)
-        with pytest.raises(ConfigurationError):
-            register_star_lp_backend("broken", "not-a-factory")
+        for choice in ("", "not-a-factory", StackedStarLPBackend):
+            with pytest.raises(ConfigurationError):
+                resolve_star_lp_backend(choice)
 
     def test_factory_must_return_backend(self):
-        try:
-            register_star_lp_backend("bogus", lambda: object())
+        """Only a :class:`StarLPBackend` instance passes; factories do not."""
+        for choice in (object(), lambda: object(), lambda: StackedStarLPBackend()):
             with pytest.raises(ConfigurationError):
-                resolve_star_lp_backend("bogus")
-        finally:
-            unregister_star_lp_backend("bogus")
+                resolve_star_lp_backend(choice)
+        assert isinstance(resolve_star_lp_backend(StarLPBackend()), StarLPBackend)
+
+    def test_named_backends_are_shared_instances(self):
+        shared = resolve_star_lp_backend(None)
+        assert isinstance(shared, StackedStarLPBackend)
+        assert resolve_star_lp_backend() is shared
+
+    def test_instance_passthrough(self):
+        backend = LoopStarLPBackend()
+        assert resolve_star_lp_backend(backend) is backend
+
+    def test_unknown_name_is_configuration_error(self):
+        for choice in ("stacked", "loop", "sharded", object()):
+            with pytest.raises(ConfigurationError, match="not available"):
+                resolve_star_lp_backend(choice)
 
     def test_describe_reports_tier_structure(self):
-        sharded = resolve_star_lp_backend("sharded")
-        info = sharded.describe()
-        assert info["name"] == "sharded"
-        assert info["inner"]["name"] == "stacked"
+        info = resolve_star_lp_backend(None).describe()
+        assert info["name"] == "stacked"
+        assert info["class"] == "StackedStarLPBackend"
+        assert info["chunk_elements"] >= 1
 
 
 class TestClosedFormTier:
@@ -210,15 +238,24 @@ class TestLPTier:
     def test_forced_sharding_matches_loop(self, rng):
         stars = constrained_stars(rng, 8)
         ref_lows, ref_highs = LoopStarLPBackend().bounds_many(stars)
-        lows, highs = forced_sharding_backend().bounds_many(stars)
+        backend = ShardedCalls(shard=1)
+        lows, highs = backend.bounds_many(stars)
+        assert backend.calls == 8
         np.testing.assert_allclose(lows, ref_lows, rtol=0.0, atol=LP_ATOL)
         np.testing.assert_allclose(highs, ref_highs, rtol=0.0, atol=LP_ATOL)
 
-    def test_small_batches_bypass_the_pool(self, rng):
-        backend = ShardedStarLPBackend(min_shard_stars=64)
+    def test_small_batches_bypass_the_pool(self, rng, monkeypatch):
+        """Bounds are solved in the calling thread: no executor is ever started."""
+        import concurrent.futures
+
+        def _forbidden(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the star-LP tier started a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _forbidden)
         stars = constrained_stars(rng, 3)
         ref = LoopStarLPBackend().bounds_many(stars)
-        lows, highs = backend.bounds_many(stars)
+        lows, highs = resolve_star_lp_backend(None).bounds_many(stars)
         np.testing.assert_allclose(lows, ref[0], rtol=0.0, atol=LP_ATOL)
         np.testing.assert_allclose(highs, ref[1], rtol=0.0, atol=LP_ATOL)
 
@@ -234,7 +271,7 @@ class TestLPTier:
         lows, highs = backend.bounds(pinned)
         assert lows[0] == pinned.center[0] == highs[0]
         assert backend.stats["skipped_zero_columns"] >= 1
-        ref_lows, ref_highs = pinned._bounds_loop()
+        ref_lows, ref_highs = star_bounds_loop(pinned)
         np.testing.assert_allclose(lows, ref_lows, rtol=0.0, atol=LP_ATOL)
         np.testing.assert_allclose(highs, ref_highs, rtol=0.0, atol=LP_ATOL)
 
@@ -261,7 +298,7 @@ class TestBatchedWalkEquivalence:
             relu_network, inputs, 4, 0, delta, "star", star_lp_backend=config()
         )
         batched_box = BatchedBox(inputs - delta, inputs + delta)
-        ref_lows, ref_highs = _star_bounds_loop(relu_network, batched_box, 0, 4)
+        ref_lows, ref_highs = star_bounds_loop_batch(relu_network, batched_box, 0, 4)
         np.testing.assert_allclose(
             lows, ref_lows, rtol=0.0, atol=LP_ATOL, err_msg=label
         )
@@ -283,17 +320,10 @@ class TestBatchedWalkEquivalence:
         to_layer = len(network.layers)
         inputs = rng.uniform(-1.5, 1.5, size=(batch, input_dim))
         batched_box = BatchedBox(inputs - delta, inputs + delta)
-        ref = _star_bounds_loop(network, batched_box, 0, to_layer)
-        for name in ("stacked", "sharded"):
-            lows, highs = perturbation_bounds_batch(
-                network, inputs, to_layer, 0, delta, "star", star_lp_backend=name
-            )
-            np.testing.assert_allclose(
-                lows, ref[0], rtol=0.0, atol=LP_ATOL, err_msg=name
-            )
-            np.testing.assert_allclose(
-                highs, ref[1], rtol=0.0, atol=LP_ATOL, err_msg=name
-            )
+        ref = star_bounds_loop_batch(network, batched_box, 0, to_layer)
+        lows, highs = perturbation_bounds_batch(network, inputs, to_layer, 0, delta, "star")
+        np.testing.assert_allclose(lows, ref[0], rtol=0.0, atol=LP_ATOL)
+        np.testing.assert_allclose(highs, ref[1], rtol=0.0, atol=LP_ATOL)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -346,7 +376,7 @@ class TestRobustFitIdentity:
             monitor.fit(subset)
             return monitor
 
-        reference = fit_with("loop")
+        reference = fit_with(LoopStarLPBackend())
         candidate = fit_with(config())
         assert sorted(candidate.patterns.iterate_words()) == sorted(
             reference.patterns.iterate_words()
