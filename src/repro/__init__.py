@@ -3,10 +3,11 @@
 A self-contained reproduction of Cheng, "Provably-Robust Runtime Monitoring
 of Neuron Activation Patterns" (DATE 2021).  The library provides:
 
-* :mod:`repro.nn` — a numpy feed-forward DNN substrate (training, layer-sliced
-  evaluation ``G^k`` / ``G^{l↪k}``, interval bound propagation);
+* :mod:`repro.nn` — a numpy feed-forward DNN substrate (training and
+  layer-sliced evaluation ``G^k`` / ``G^{l↪k}``);
 * :mod:`repro.symbolic` — sound abstract domains (box, zonotope, star set)
-  used for the perturbation estimate of Definition 1;
+  used for the perturbation estimate of Definition 1, all advanced by one
+  batched layer walk;
 * :mod:`repro.bdd` — a reduced ordered BDD manager and the pattern-set
   wrapper implementing ``word2set``;
 * :mod:`repro.runtime` — the vectorised bit-packed pattern substrate: codec
@@ -81,7 +82,7 @@ from .monitors import (
 from .nn import Sequential, mlp
 from .runtime import BatchScoringEngine, PatternCodec
 from .service import BatchPolicy, StreamingScorer
-from .symbolic import Box, StarSet, Zonotope, perturbation_bounds, propagate_bounds
+from .symbolic import Box, StarSet, perturbation_bounds, propagate_bounds
 
 __version__ = "1.0.0"
 
@@ -105,7 +106,6 @@ __all__ = [
     "mlp",
     # symbolic
     "Box",
-    "Zonotope",
     "StarSet",
     "propagate_bounds",
     "perturbation_bounds",

@@ -34,7 +34,7 @@ from .ensemble import MonitorEnsemble
 from .fingerprint import monitor_fingerprint
 from .interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
 from .minmax import MinMaxMonitor, RobustMinMaxMonitor
-from .perturbation import PerturbationSpec, perturbation_estimate, perturbation_estimates
+from .perturbation import PerturbationSpec, perturbation_estimate
 from .quantitative import EnvelopeDistanceMonitor, PatternDistanceMonitor
 from .registry import MonitorRegistry
 from .serialization import load_monitor, save_monitor
@@ -70,7 +70,6 @@ __all__ = [
     "load_monitor",
     "monitor_fingerprint",
     "perturbation_estimate",
-    "perturbation_estimates",
     "code_of_value",
     "codes_of_values",
     "code_range_of_bound",

@@ -183,7 +183,7 @@ class ActivationMonitor:
             features = self._engine.layer_features(inputs, self.layer_index)
         else:
             features = np.atleast_2d(self.network.forward_to(self.layer_index, inputs))
-        return features[:, self.neuron_indices]
+        return features[:, self._columns]
 
     def _perturbation_bound_arrays(
         self, inputs: np.ndarray, spec: PerturbationSpec

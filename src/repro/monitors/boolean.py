@@ -217,8 +217,8 @@ class RobustBooleanPatternMonitor(BooleanPatternMonitor):
 
     def _insert_robust_batch(self, inputs: np.ndarray) -> None:
         lows, highs = self._perturbation_bound_arrays(inputs, self.perturbation)
-        lows = lows[:, self.neuron_indices]
-        highs = highs[:, self.neuron_indices]
+        lows = lows[:, self._columns]
+        highs = highs[:, self._columns]
         planes = self.codec.ternary_planes(lows, highs)
         constrained_bits = int(popcount(planes.masks).sum())
         self._dont_care_count += (

@@ -204,8 +204,8 @@ class RobustIntervalPatternMonitor(IntervalPatternMonitor):
 
     def _insert_robust_batch(self, inputs: np.ndarray) -> None:
         lows, highs = self._perturbation_bound_arrays(inputs, self.perturbation)
-        lows = lows[:, self.neuron_indices]
-        highs = highs[:, self.neuron_indices]
+        lows = lows[:, self._columns]
+        highs = highs[:, self._columns]
         low_codes, high_codes = self.codec.bound_codes(lows, highs)
         self._ambiguous_positions += int((high_codes > low_codes).sum())
         self.patterns.add_range_patterns(low_codes, high_codes)

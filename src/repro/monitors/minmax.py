@@ -165,7 +165,7 @@ class RobustMinMaxMonitor(MinMaxMonitor):
 
     def _bound_arrays(self, inputs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         lows, highs = self._perturbation_bound_arrays(inputs, self.perturbation)
-        return lows[:, self.neuron_indices], highs[:, self.neuron_indices]
+        return lows[:, self._columns], highs[:, self._columns]
 
     def fit(self, training_inputs: np.ndarray) -> "RobustMinMaxMonitor":
         """Join the perturbation estimates of every training input."""

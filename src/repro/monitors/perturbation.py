@@ -10,18 +10,19 @@ robust construction:
   ``"zonotope"`` or ``"star"``).
 
 :func:`collect_bound_arrays` computes ``pe^G_k(v, k_p, Δ)`` for every row of
-a data set through the batched symbolic back-ends
+a data set through the one batched layer walk
 (:func:`repro.symbolic.propagation.perturbation_bounds_batch`) — one
-propagation for the whole set, no per-sample Python loop for the box and
-zonotope back-ends.  This is the inner loop of every robust monitor's
-``fit``.  The original one-row-at-a-time path, the reference for
-equivalence tests and benchmarks, lives in ``tests/oracles/symbolic.py``.
+propagation for the whole set.  This is the inner loop of every robust
+monitor's ``fit``.  :func:`perturbation_estimate` is the single-input form,
+an N=1 call into the same walk.  The original one-row-at-a-time path, the
+reference for equivalence tests and benchmarks, lives in
+``tests/oracles/symbolic.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,13 +35,7 @@ from ..symbolic.propagation import (
     perturbation_bounds_batch,
 )
 
-__all__ = [
-    "PerturbationSpec",
-    "perturbation_estimate",
-    "perturbation_estimates",
-    "collect_estimates",
-    "collect_bound_arrays",
-]
+__all__ = ["PerturbationSpec", "perturbation_estimate", "collect_bound_arrays"]
 
 
 @dataclass(frozen=True)
@@ -101,33 +96,6 @@ def perturbation_estimate(
         delta=spec.delta,
         method=spec.method,
     )
-
-
-def perturbation_estimates(
-    network: Sequential,
-    inputs: np.ndarray,
-    monitored_layer: int,
-    spec: PerturbationSpec,
-) -> Iterator[Box]:
-    """Yield the perturbation estimate of every row of ``inputs``.
-
-    The whole data set is propagated in one batched pass
-    (:func:`collect_bound_arrays`) and the rows are wrapped as
-    :class:`~repro.symbolic.interval.Box` objects on the way out.
-    """
-    lows, highs = collect_bound_arrays(network, inputs, monitored_layer, spec)
-    for low, high in zip(lows, highs):
-        yield Box(low, high)
-
-
-def collect_estimates(
-    network: Sequential,
-    inputs: np.ndarray,
-    monitored_layer: int,
-    spec: PerturbationSpec,
-) -> List[Box]:
-    """Materialise :func:`perturbation_estimates` into a list."""
-    return list(perturbation_estimates(network, inputs, monitored_layer, spec))
 
 
 def collect_bound_arrays(

@@ -42,7 +42,10 @@ def _validate_activations(activations: np.ndarray) -> np.ndarray:
             "activations must be a non-empty 2-D array of shape "
             "(num_samples, num_neurons)"
         )
-    return activations
+    # Per-neuron reductions sum in an order set by the memory layout; one
+    # column-major layout makes the cut points independent of whether the
+    # caller passed a row-major view or a gathered copy of the columns.
+    return np.asfortranarray(activations)
 
 
 def validate_cut_points(cut_points: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ nn-dependability-kit implementation with a self-contained numpy stack:
 layers, activations, losses, optimizers, a mini-batch trainer and network
 serialization.  The :class:`~repro.nn.network.Sequential` class mirrors the
 paper's notation with ``forward_to`` (``G^k``) and ``forward_from_to``
-(``G^{l↪k}``) layer slicing, plus sound interval bound propagation used by
-the robust monitor construction.
+(``G^{l↪k}``) layer slicing.  Sound bound propagation through a network
+lives in :mod:`repro.symbolic.propagation`.
 """
 
 from .activations import (

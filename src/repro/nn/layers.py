@@ -1,26 +1,23 @@
 """Layer implementations for the numpy feed-forward DNN substrate.
 
 The paper models a DNN as ``G = g_n ∘ ... ∘ g_1`` where every ``g_k`` is the
-transformation of the ``k``-th layer.  Layers here therefore carry three
-capabilities:
+transformation of the ``k``-th layer.  Layers here carry two capabilities:
 
 * **concrete evaluation** (:meth:`Layer.forward`) used when the trained
   network classifies or regresses an operational input;
 * **gradient computation** (:meth:`Layer.backward`) used only while the
-  reproduction trains its own networks;
-* **sound box propagation** (:meth:`Layer.propagate_box`) used by the robust
-  monitor construction to turn a Δ-bounded perturbation at layer ``k_p`` into
-  guaranteed per-neuron bounds at the monitored layer ``k`` (interval bound
-  propagation, reference [3] of the paper).
+  reproduction trains its own networks.
 
-Zonotope and star-set propagation need direct access to the affine structure
-of a layer; affine layers expose ``weights`` and ``bias`` and set
-``is_affine`` so the symbolic back-ends can special-case them.
+Sound bound propagation (box, zonotope, star) is not a layer method: the one
+layer walk in :mod:`repro.symbolic.propagation` dispatches on the layer type
+and reads each layer's structure — ``weights`` / ``bias`` of an affine
+layer (which sets ``is_affine``), the ``activation`` of an activation layer,
+``scale`` / ``shift`` of a :class:`Scale`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -85,20 +82,6 @@ class Layer:
     def zero_gradients(self) -> None:
         for grad in self.gradients().values():
             grad.fill(0.0)
-
-    # ------------------------------------------------------------------
-    # symbolic reasoning
-    # ------------------------------------------------------------------
-    def propagate_box(
-        self, low: np.ndarray, high: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Propagate axis-aligned boxes soundly through the layer.
-
-        Accepts either ``(d,)`` bounds describing one box or ``(N, d)`` bound
-        matrices describing one box per row; the batched form is the hot path
-        of :meth:`repro.nn.network.Sequential.propagate_box_batch`.
-        """
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # serialization
@@ -183,26 +166,6 @@ class Dense(Layer):
     def gradients(self) -> Dict[str, np.ndarray]:
         return {"weights": self._grad_weights, "bias": self._grad_bias}
 
-    def propagate_box(
-        self, low: np.ndarray, high: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Interval arithmetic for an affine map.
-
-        The post-affine bound is computed from the midpoint/radius form:
-        ``center' = W^T c + b`` and ``radius' = |W|^T r``, which is the exact
-        image of the box under the affine map projected to axis-aligned
-        bounds.
-        """
-        if self.weights is None:
-            raise ConfigurationError("Dense layer used before build()")
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        center = (low + high) / 2.0
-        radius = (high - low) / 2.0
-        new_center = center @ self.weights + self.bias
-        new_radius = radius @ np.abs(self.weights)
-        return new_center - new_radius, new_center + new_radius
-
     def get_config(self) -> Dict[str, object]:
         return {
             "type": "Dense",
@@ -252,13 +215,6 @@ class ActivationLayer(Layer):
             raise ConfigurationError("backward() called before forward(training=True)")
         return np.asarray(grad_output) * self.activation.derivative(self._last_input)
 
-    def propagate_box(
-        self, low: np.ndarray, high: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.activation.bound_transform(
-            np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
-        )
-
     def get_config(self) -> Dict[str, object]:
         return {"type": "ActivationLayer", "activation": self.activation.name}
 
@@ -294,10 +250,6 @@ class Dropout(Layer):
             return grad_output
         return grad_output * self._mask
 
-    def propagate_box(self, low, high):
-        # Inference-time dropout is the identity.
-        return np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
-
     def get_config(self) -> Dict[str, object]:
         return {"type": "Dropout", "rate": self.rate}
 
@@ -318,15 +270,6 @@ class Flatten(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return np.asarray(grad_output, dtype=np.float64)
-
-    def propagate_box(self, low, high):
-        # 1-D bounds describe a single box; 2-D bounds carry a leading batch
-        # axis (one box per row) and must keep it, like :meth:`forward`.
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        if low.ndim <= 1:
-            return low.reshape(-1), high.reshape(-1)
-        return low.reshape(low.shape[0], -1), high.reshape(high.shape[0], -1)
 
     def get_config(self) -> Dict[str, object]:
         return {"type": "Flatten"}
@@ -353,13 +296,6 @@ class Scale(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return np.asarray(grad_output, dtype=np.float64) * self.scale
-
-    def propagate_box(self, low, high):
-        low = np.asarray(low, dtype=np.float64) * self.scale + self.shift
-        high = np.asarray(high, dtype=np.float64) * self.scale + self.shift
-        if self.scale < 0:
-            low, high = high, low
-        return low, high
 
     def get_config(self) -> Dict[str, object]:
         return {"type": "Scale", "scale": self.scale, "shift": self.shift}

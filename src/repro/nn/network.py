@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, LayerIndexError, ShapeError
+from ..exceptions import ConfigurationError, LayerIndexError
 from .activations import get_activation
 from .layers import ActivationLayer, Dense, Layer, layer_from_config
 
@@ -181,80 +181,6 @@ class Sequential:
     def num_parameters(self) -> int:
         """Total number of scalar trainable parameters."""
         return int(sum(p.size for p in self.parameters().values()))
-
-    # ------------------------------------------------------------------
-    # sound box propagation (used by the robust monitor)
-    # ------------------------------------------------------------------
-    def propagate_box(
-        self,
-        low: np.ndarray,
-        high: np.ndarray,
-        from_layer: int,
-        to_layer: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Propagate a box from the output of ``from_layer`` to ``to_layer``.
-
-        ``from_layer = 0`` means the box constrains the raw network input.
-        The result is a sound axis-aligned over-approximation of
-        ``G^{from_layer+1 ↪ to_layer}`` applied to the box.
-        """
-        self._check_layer_index(from_layer, allow_zero=True)
-        self._check_layer_index(to_layer)
-        if from_layer >= to_layer:
-            raise LayerIndexError(
-                f"from_layer ({from_layer}) must be strictly before to_layer "
-                f"({to_layer})"
-            )
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        expected = self.layer_output_dim(from_layer)
-        if low.shape != (expected,) or high.shape != (expected,):
-            raise ShapeError(
-                f"box bounds must have shape ({expected},); got {low.shape} "
-                f"and {high.shape}"
-            )
-        if np.any(low > high):
-            raise ShapeError("box lower bound exceeds upper bound")
-        for layer in self.layers[from_layer:to_layer]:
-            low, high = layer.propagate_box(low, high)
-        return low, high
-
-    def propagate_box_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        from_layer: int,
-        to_layer: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Propagate one box per row of ``(N, d)`` bound matrices.
-
-        The batched counterpart of :meth:`propagate_box`: row ``i`` of the
-        result is a sound axis-aligned over-approximation of
-        ``G^{from_layer+1 ↪ to_layer}`` applied to the ``i``-th input box.
-        Every layer's interval transformer is applied to the whole batch at
-        once (one matrix product per affine layer), so the cost of ``N`` boxes
-        is one layer walk instead of ``N``.
-        """
-        self._check_layer_index(from_layer, allow_zero=True)
-        self._check_layer_index(to_layer)
-        if from_layer >= to_layer:
-            raise LayerIndexError(
-                f"from_layer ({from_layer}) must be strictly before to_layer "
-                f"({to_layer})"
-            )
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        expected = self.layer_output_dim(from_layer)
-        if lows.ndim != 2 or lows.shape[1] != expected or lows.shape != highs.shape:
-            raise ShapeError(
-                f"batched box bounds must have shape (N, {expected}); got "
-                f"{lows.shape} and {highs.shape}"
-            )
-        if np.any(lows > highs):
-            raise ShapeError("box lower bound exceeds upper bound")
-        for layer in self.layers[from_layer:to_layer]:
-            lows, highs = layer.propagate_box(lows, highs)
-        return lows, highs
 
     # ------------------------------------------------------------------
     # serialization

@@ -1,33 +1,31 @@
-"""Batched abstract domains: whole training sets through one propagation.
+"""Batched abstract states: the three domains the one layer walk advances.
 
-The single-sample domains (:class:`~repro.symbolic.interval.Box`,
-:class:`~repro.symbolic.zonotope.Zonotope`) compute the Definition-1
-perturbation estimate of *one* training input.  Robust monitor construction
-needs the estimate of *every* training input, and pushing them through the
-back-ends one at a time was the last major per-sample Python loop in the
-code base.  This module carries a leading batch axis through the abstract
-transformers instead:
+Robust monitor construction needs the Definition-1 perturbation estimate of
+*every* training input, so the abstract states carry a leading batch axis
+and :func:`~repro.symbolic.propagation.propagate_bounds_batch` advances a
+whole training set through one layer walk.  The three states share the
+transformer methods that walk calls — ``affine``, ``relu``,
+``elementwise_monotone``, ``scale_shift`` and ``bounds``:
 
-* :class:`BatchedBox` — ``(N, d)`` lower/upper matrices; affine and monotone
-  transformers are the same midpoint/radius arithmetic as the single-sample
-  box, evaluated as one matrix product per layer.
-* :class:`BatchedZonotope` — ``(N, d)`` centers and ``(N, m, d)`` generators;
-  affine layers are one reshaped matrix product, and the DeepZ ReLU
-  relaxation is evaluated with elementwise masks over the whole batch.
+* :class:`BatchedBox` — ``(N, d)`` lower/upper matrices; affine layers are
+  one midpoint/radius matrix product each.  Bounds are checked once, when
+  the box is built from caller data; transformer outputs are ordered by
+  construction and skip the check.
+* :class:`BatchedZonotope` — ``(N, d)`` centers and ``(N, m, d)``
+  generators; affine layers are one reshaped matrix product, and the DeepZ
+  ReLU relaxation is evaluated with elementwise masks over the whole batch.
+* :class:`BatchedStar` — one :class:`~repro.symbolic.star.StarSet` per row
+  (each row owns its predicate polytope), advanced in lockstep.  It owns
+  the walk's star-LP back-end and answers each activation layer's bound
+  queries, and the final ones, with one
+  :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many` call.
 
-Both domains are sound row-for-row: row ``i`` of a batched propagation is a
-(floating-point-tolerance) match of propagating row ``i`` alone, which
-``tests/symbolic/test_batched.py`` pins per layer type and per domain.
+Every state is sound row-for-row: row ``i`` of a batched propagation
+matches propagating row ``i`` alone, which ``tests/symbolic`` pins against
+the single-sample reference walk in ``tests/oracles/symbolic.py``.
 
-Star sets keep one polytope per row (each row owns its own LP), so the
-batched star path in :mod:`repro.symbolic.propagation` advances all rows'
-stars in lockstep layer by layer and answers each layer's bound queries
-with a single :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many`
-call — closed-form for hypercube-domain stars, block-stacked sparse HiGHS
-programs for constrained ones (see :mod:`repro.symbolic.star_lp`).
-
-Batch semantics of the ReLU relaxation
---------------------------------------
+Batch semantics of the zonotope ReLU relaxation
+-----------------------------------------------
 Different rows generally have different unstable neurons, so a row-exact
 batched zonotope would need ragged generator counts.  Instead each ReLU layer
 appends one fresh generator *slot* per dimension for every row; rows where a
@@ -39,13 +37,16 @@ to bound memory.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ShapeError
+from .interval import Box
+from .star import StarSet
+from .star_lp import StarLPBackend
 
-__all__ = ["BatchedBox", "BatchedZonotope"]
+__all__ = ["BatchedBox", "BatchedZonotope", "BatchedStar"]
 
 
 def _as_bound_matrix(values: np.ndarray, name: str) -> np.ndarray:
@@ -63,7 +64,8 @@ class BatchedBox:
     Row ``i`` is the box ``{x : lows[i] <= x <= highs[i]}``.  Every transformer
     acts on all rows at once; the arithmetic per row is identical to
     :class:`~repro.symbolic.interval.Box`, so the batched result matches the
-    single-sample result row-for-row.
+    single-sample result row-for-row.  The constructor checks caller bounds;
+    transformers build their (ordered) results through :meth:`_ordered`.
     """
 
     def __init__(self, lows: np.ndarray, highs: np.ndarray) -> None:
@@ -77,6 +79,14 @@ class BatchedBox:
             raise ShapeError("batched box lower bound exceeds upper bound")
         self.lows = lows
         self.highs = np.maximum(lows, highs)
+
+    @classmethod
+    def _ordered(cls, lows: np.ndarray, highs: np.ndarray) -> "BatchedBox":
+        """A box from bounds already known to satisfy ``lows <= highs``."""
+        box = cls.__new__(cls)
+        box.lows = lows
+        box.highs = highs
+        return box
 
     # ------------------------------------------------------------------
     @classmethod
@@ -131,18 +141,21 @@ class BatchedBox:
             )
         centers = self.centers @ weights + bias
         radii = self.radii @ np.abs(weights)
-        return BatchedBox(centers - radii, centers + radii)
+        return BatchedBox._ordered(centers - radii, centers + radii)
+
+    def relu(self) -> "BatchedBox":
+        """Exact image under elementwise ReLU."""
+        return BatchedBox._ordered(np.maximum(self.lows, 0.0), np.maximum(self.highs, 0.0))
 
     def elementwise_monotone(self, bound_transform) -> "BatchedBox":
         """Image under an elementwise monotone non-decreasing function."""
-        new_lows, new_highs = bound_transform(self.lows, self.highs)
-        return BatchedBox(new_lows, new_highs)
+        return BatchedBox._ordered(*bound_transform(self.lows, self.highs))
 
     def scale_shift(self, scale: float, shift: float) -> "BatchedBox":
         """Image under the fixed rescaling ``x * scale + shift``."""
         a = self.lows * scale + shift
         b = self.highs * scale + shift
-        return BatchedBox(np.minimum(a, b), np.maximum(a, b))
+        return BatchedBox._ordered(b, a) if scale < 0 else BatchedBox._ordered(a, b)
 
     # ------------------------------------------------------------------
     def contains_points(self, points: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
@@ -224,10 +237,6 @@ class BatchedZonotope:
         radii = self.radii()
         return self.centers - radii, self.centers + radii
 
-    def to_batched_box(self) -> BatchedBox:
-        lows, highs = self.bounds()
-        return BatchedBox(lows, highs)
-
     def _prune_zero_slots(self) -> "BatchedZonotope":
         """Drop generator slots that are zero in every row (no-op on bounds)."""
         if self.num_generators == 0:
@@ -294,9 +303,9 @@ class BatchedZonotope:
 
     def elementwise_monotone(self, bound_transform) -> "BatchedZonotope":
         """Sound relaxation of a monotone activation via the box hull."""
-        lows, highs = self.bounds()
-        new_lows, new_highs = bound_transform(lows, highs)
-        return BatchedZonotope.from_batched_box(BatchedBox(new_lows, new_highs))
+        return BatchedZonotope.from_batched_box(
+            BatchedBox._ordered(*bound_transform(*self.bounds()))
+        )
 
     def scale_shift(self, scale: float, shift: float) -> "BatchedZonotope":
         """Image under the fixed rescaling ``x * scale + shift``."""
@@ -307,3 +316,58 @@ class BatchedZonotope:
             f"BatchedZonotope(batch={self.batch_size}, dimension={self.dimension}, "
             f"generators={self.num_generators})"
         )
+
+
+class BatchedStar:
+    """``N`` star sets advanced in lockstep, one predicate polytope per row.
+
+    Affine images are exact per row.  ``relu`` and ``elementwise_monotone``
+    first ask ``backend`` for the pre-activation bounds of every row in one
+    :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many` call (closed
+    form while a polytope is still a hypercube, block-stacked HiGHS programs
+    once unstable ReLUs constrain it) and hand each star its row.
+    """
+
+    def __init__(self, stars: Sequence[StarSet], dimension: int, backend: StarLPBackend) -> None:
+        self.stars = list(stars)
+        self.dimension = int(dimension)
+        self.backend = backend
+
+    @classmethod
+    def from_batched_box(cls, box: BatchedBox, backend: StarLPBackend) -> "BatchedStar":
+        """One star per row, its predicates the row's noise directions."""
+        stars = [StarSet.from_box(Box(low, high)) for low, high in zip(box.lows, box.highs)]
+        return cls(stars, box.dimension, backend)
+
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row, per-dimension ``(N, d)`` bounds through the LP back-end."""
+        return self.backend.bounds_many(self.stars)
+
+    def affine(self, weights: np.ndarray, bias: np.ndarray) -> "BatchedStar":
+        """Exact image of every row under ``x -> x @ weights + bias``."""
+        stars = [star.affine(weights, bias) for star in self.stars]
+        return BatchedStar(stars, np.shape(weights)[1], self.backend)
+
+    def relu(self) -> "BatchedStar":
+        """Triangle-relaxed ReLU of every row (see :meth:`StarSet.relu`)."""
+        lows, highs = self.bounds()
+        stars = [star.relu((lows[i], highs[i])) for i, star in enumerate(self.stars)]
+        return BatchedStar(stars, self.dimension, self.backend)
+
+    def elementwise_monotone(self, bound_transform) -> "BatchedStar":
+        """Box-hull relaxation of a monotone activation, per row."""
+        lows, highs = self.bounds()
+        stars = [
+            star.elementwise_monotone(bound_transform, (lows[i], highs[i]))
+            for i, star in enumerate(self.stars)
+        ]
+        return BatchedStar(stars, self.dimension, self.backend)
+
+    def scale_shift(self, scale: float, shift: float) -> "BatchedStar":
+        """Image under the fixed rescaling ``x * scale + shift``."""
+        return self.affine(
+            np.eye(self.dimension) * scale, np.full(self.dimension, shift)
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"BatchedStar(batch={len(self.stars)}, dimension={self.dimension})"

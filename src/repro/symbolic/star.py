@@ -42,10 +42,10 @@ class StarSet:
     ``basis`` has shape ``(num_predicates, dimension)`` (one row per predicate
     variable, mirroring the zonotope generator layout).
 
-    ``lp_backend`` is the :class:`~repro.symbolic.star_lp.StarLPBackend`
-    instance answering this star's bound queries, or ``None`` for the shared
-    stacked tier.  It is inherited by every star derived through
-    :meth:`affine`, :meth:`relu` and :meth:`elementwise_monotone`.
+    :meth:`relu` and :meth:`elementwise_monotone` take the pre-activation
+    bounds they relax from the caller: the batched walk
+    (:class:`~repro.symbolic.batched.BatchedStar`) computes those of a whole
+    batch in one star-LP back-end call.
 
     ``hypercube_domain`` asserts that the supplied constraints are the
     default hypercube ``alpha ∈ [-1, 1]^m`` — the flag that unlocks the
@@ -60,7 +60,6 @@ class StarSet:
         basis: np.ndarray,
         constraints_a: Optional[np.ndarray] = None,
         constraints_b: Optional[np.ndarray] = None,
-        lp_backend=None,
         hypercube_domain: Optional[bool] = None,
     ) -> None:
         center = np.asarray(center, dtype=np.float64).reshape(-1)
@@ -87,25 +86,24 @@ class StarSet:
         self.basis = basis
         self.constraints_a = constraints_a
         self.constraints_b = constraints_b
-        self.lp_backend = lp_backend
         self._hypercube_domain = bool(hypercube_domain)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_box(cls, box: Box, lp_backend=None) -> "StarSet":
+    def from_box(cls, box: Box) -> "StarSet":
         """Star whose predicate variables are the box's noise directions."""
         radius = box.radius
         nonzero = np.nonzero(radius > 0)[0]
         basis = np.zeros((nonzero.shape[0], box.dimension))
         basis[np.arange(nonzero.shape[0]), nonzero] = radius[nonzero]
-        return cls(box.center, basis, lp_backend=lp_backend)
+        return cls(box.center, basis)
 
     @classmethod
-    def from_point(cls, point: np.ndarray, lp_backend=None) -> "StarSet":
+    def from_point(cls, point: np.ndarray) -> "StarSet":
         point = np.asarray(point, dtype=np.float64).reshape(-1)
-        return cls(point, np.zeros((0, point.shape[0])), lp_backend=lp_backend)
+        return cls(point, np.zeros((0, point.shape[0])))
 
     # ------------------------------------------------------------------
     # geometry
@@ -130,13 +128,13 @@ class StarSet:
         return self._hypercube_domain
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact per-dimension lower/upper bounds through the LP back-end.
+        """Exact per-dimension lower/upper bounds through the shared back-end.
 
-        Dispatches to this star's :mod:`~repro.symbolic.star_lp` back-end:
-        closed form (zero LPs) on a hypercube predicate domain, block-stacked
-        HiGHS solves otherwise.
+        The shared :mod:`~repro.symbolic.star_lp` tier answers: closed form
+        (zero LPs) on a hypercube predicate domain, block-stacked HiGHS
+        solves otherwise.
         """
-        return resolve_star_lp_backend(self.lp_backend).bounds(self)
+        return resolve_star_lp_backend(None).bounds(self)
 
     def to_box(self) -> Box:
         low, high = self.bounds()
@@ -176,11 +174,10 @@ class StarSet:
             self.basis @ weights,
             self.constraints_a,
             self.constraints_b,
-            lp_backend=self.lp_backend,
             hypercube_domain=self._hypercube_domain,
         )
 
-    def relu(self, bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> "StarSet":
+    def relu(self, bounds: Tuple[np.ndarray, np.ndarray]) -> "StarSet":
         """Sound single-star over-approximation of elementwise ReLU.
 
         Stable neurons keep their affine form (identity or zero).  Each
@@ -189,14 +186,10 @@ class StarSet:
 
             beta_j >= 0,   beta_j >= x_j,   beta_j <= u_j (x_j - l_j)/(u_j - l_j)
 
-        and the output dimension ``j`` becomes exactly ``beta_j``.
-
-        ``bounds`` optionally supplies precomputed pre-activation bounds of
-        this star — the batched lockstep walk passes them so the bound
-        queries of a whole batch share one stacked solve instead of one
-        back-end dispatch per row.
+        and the output dimension ``j`` becomes exactly ``beta_j``, where
+        ``(l, u)`` are the pre-activation ``bounds`` of this star.
         """
-        low, high = bounds if bounds is not None else self.bounds()
+        low, high = bounds
         center = np.array(self.center, copy=True)
         basis = np.array(self.basis, copy=True)
         constraints_a = self.constraints_a
@@ -217,7 +210,6 @@ class StarSet:
                 basis,
                 constraints_a,
                 constraints_b,
-                lp_backend=self.lp_backend,
                 hypercube_domain=self._hypercube_domain,
             )
 
@@ -264,50 +256,14 @@ class StarSet:
         constraints_a = np.vstack([extended_a, np.array(extra_rows)])
         constraints_b = np.concatenate([constraints_b, np.array(extra_b)])
         # Triangle-relaxation rows leave the default hypercube domain.
-        return StarSet(
-            center, new_basis, constraints_a, constraints_b, lp_backend=self.lp_backend
-        )
+        return StarSet(center, new_basis, constraints_a, constraints_b)
 
     def elementwise_monotone(
-        self, bound_transform, bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self, bound_transform, bounds: Tuple[np.ndarray, np.ndarray]
     ) -> "StarSet":
-        """Sound relaxation of a general monotone activation via the box hull.
-
-        ``bounds`` optionally supplies precomputed bounds of this star (see
-        :meth:`relu`).
-        """
-        low, high = bounds if bounds is not None else self.bounds()
-        new_low, new_high = bound_transform(low, high)
-        return StarSet.from_box(Box(new_low, new_high), lp_backend=self.lp_backend)
-
-    # ------------------------------------------------------------------
-    def sample(
-        self, count: int, rng: Optional[np.random.Generator] = None, max_tries: int = 200
-    ) -> np.ndarray:
-        """Rejection-sample points from the star (used only by tests)."""
-        if rng is None:
-            rng = np.random.default_rng()
-        if self.num_predicates == 0:
-            return np.tile(self.center, (count, 1))
-        # Sample alpha from the bounding box of the predicate polytope.
-        alpha_low = np.full(self.num_predicates, -1.0)
-        alpha_high = np.full(self.num_predicates, 1.0)
-        accepted = []
-        tries = 0
-        while len(accepted) < count and tries < max_tries:
-            tries += 1
-            candidates = rng.uniform(
-                alpha_low, alpha_high, size=(count * 4, self.num_predicates)
-            )
-            feasible = np.all(
-                candidates @ self.constraints_a.T <= self.constraints_b[None, :] + 1e-9,
-                axis=1,
-            )
-            accepted.extend(candidates[feasible][: count - len(accepted)])
-        if not accepted:
-            return np.tile(self.center, (count, 1))
-        alphas = np.array(accepted)
-        return self.center[None, :] + alphas @ self.basis
+        """Sound relaxation of a general monotone activation via the box hull
+        of ``bound_transform`` applied to this star's ``bounds``."""
+        return StarSet.from_box(Box(*bound_transform(*bounds)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,8 +23,8 @@ two fast paths:
 
 :func:`resolve_star_lp_backend` returns the one shared instance.  A
 :class:`StarLPBackend` instance may be passed wherever a ``star_lp_backend``
-/ ``lp_backend`` argument is taken (the tests substitute the seed loop that
-way); any other choice raises :class:`~repro.exceptions.ConfigurationError`.
+argument is taken (the tests substitute the seed loop that way); any other
+choice raises :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations

@@ -243,17 +243,17 @@ def operations(draw):
         rng = np.random.default_rng(seed)
         low = rng.integers(0, num_codes, size=(rows, num_positions))
         high = np.minimum(low + rng.integers(0, num_codes, size=low.shape), num_codes - 1)
+        # Contiguous, the only kind add_code_sets accepts.
+        firsts = rng.integers(0, num_codes, size=num_positions)
+        lasts = rng.integers(firsts, num_codes)
+        sets = [list(range(a, b + 1)) for a, b in zip(firsts.tolist(), lasts.tolist())]
         if kind == "words":
             ops.append(("words", low))
         elif kind == "ranges":
             ops.append(("ranges", (low, high)))
         elif kind == "ternary":
             ops.append(("ternary", (high == low, low.astype(bool))))
-        # Contiguous, the only kind add_code_sets accepts.
-        firsts = rng.integers(0, num_codes, size=num_positions)
-        lasts = rng.integers(firsts, num_codes)
-        sets = [list(range(a, b + 1)) for a, b in zip(firsts.tolist(), lasts.tolist())]
-        if kind == "code_sets":
+        elif kind == "code_sets":
             ops.append(("code_sets", sets))
         else:
             # The other set of a union sometimes holds a code-set row too.

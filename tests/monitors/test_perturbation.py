@@ -6,9 +6,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.monitors.perturbation import (
     PerturbationSpec,
-    collect_estimates,
+    collect_bound_arrays,
     perturbation_estimate,
-    perturbation_estimates,
 )
 
 
@@ -99,17 +98,26 @@ class TestPerturbationEstimate:
 class TestBatchEstimates:
     def test_trivial_spec_batch_matches_features(self, tiny_network, tiny_inputs):
         spec = PerturbationSpec(delta=0.0)
-        estimates = collect_estimates(tiny_network, tiny_inputs[:5], 4, spec)
+        lows, highs = collect_bound_arrays(tiny_network, tiny_inputs[:5], 4, spec)
         features = tiny_network.forward_to(4, tiny_inputs[:5])
-        assert len(estimates) == 5
-        for estimate, feature in zip(estimates, features):
-            np.testing.assert_allclose(estimate.low, feature, atol=1e-9)
-            np.testing.assert_allclose(estimate.high, feature, atol=1e-9)
+        assert lows.shape == highs.shape == features.shape
+        np.testing.assert_allclose(lows, features, atol=1e-9)
+        np.testing.assert_allclose(highs, features, atol=1e-9)
 
     def test_nontrivial_batch_count(self, tiny_network, tiny_inputs):
         spec = PerturbationSpec(delta=0.02)
-        estimates = list(
-            perturbation_estimates(tiny_network, tiny_inputs[:4], 4, spec)
-        )
-        assert len(estimates) == 4
-        assert all(estimate.width_sum() > 0 for estimate in estimates)
+        lows, highs = collect_bound_arrays(tiny_network, tiny_inputs[:4], 4, spec)
+        assert lows.shape[0] == highs.shape[0] == 4
+        assert np.all((highs - lows).sum(axis=1) > 0)
+
+    @pytest.mark.parametrize("method", ["box", "zonotope", "star"])
+    def test_estimate_is_row_of_batch(self, tiny_network, tiny_inputs, method):
+        """The single-input estimate is the N=1 case of the batched walk."""
+        spec = PerturbationSpec(delta=0.03, method=method)
+        # Star rows come from LP solves batched with other rows: LP tolerance.
+        atol = 1e-6 if method == "star" else 1e-12
+        lows, highs = collect_bound_arrays(tiny_network, tiny_inputs[:3], 4, spec)
+        for i in range(3):
+            estimate = perturbation_estimate(tiny_network, tiny_inputs[i], 4, spec)
+            np.testing.assert_allclose(estimate.low, lows[i], rtol=1e-10, atol=atol)
+            np.testing.assert_allclose(estimate.high, highs[i], rtol=1e-10, atol=atol)

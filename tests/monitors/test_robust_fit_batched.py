@@ -244,6 +244,48 @@ class TestEngineBoundFits:
         monitor.warn(tiny_inputs[0])
         assert engine.cache.misses == misses_before
 
+    @pytest.mark.parametrize(
+        "neurons", [None, [2, 3, 4, 5]], ids=["whole-layer", "contiguous-run"]
+    )
+    def test_fits_leave_engine_cache_bit_unchanged(self, tiny_network, tiny_inputs, neurons):
+        """Monitor slices of cached arrays are views: no fit may write into them."""
+        engine = BatchScoringEngine(tiny_network)
+        specs = [PerturbationSpec(delta=DELTA, method=m) for m in ("box", "zonotope")]
+        activations = engine.cache.activation_entry(tiny_inputs)
+        bounds = [engine.bound_arrays(tiny_inputs, MONITORED_LAYER, spec) for spec in specs]
+        before = [np.array(a, copy=True) for a in activations] + [
+            np.array(a, copy=True) for pair in bounds for a in pair
+        ]
+        for spec in specs:
+            for family, options in (
+                ("minmax", {}),
+                ("boolean", {"thresholds": "mean"}),
+                ("interval", {"num_cuts": 3}),
+            ):
+                for perturbation in (None, spec):
+                    builder = MonitorBuilder(
+                        family,
+                        MONITORED_LAYER,
+                        perturbation=perturbation,
+                        neuron_indices=neurons,
+                        **options,
+                    )
+                    monitor = builder.build(tiny_network, engine=engine)
+                    monitor.fit(tiny_inputs)
+                    monitor.update(tiny_inputs)
+                    if neurons is not None:
+                        view = monitor.features(tiny_inputs)
+                        assert np.shares_memory(view, activations[MONITORED_LAYER - 1])
+        assert engine.cache.activation_entry(tiny_inputs) is activations
+        after = list(activations) + [
+            a
+            for spec in specs
+            for a in engine.bound_arrays(tiny_inputs, MONITORED_LAYER, spec)
+        ]
+        assert engine.cache.bound_misses == len(specs)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+
     def test_loop_reference_validates_like_batched(self, tiny_network, tiny_inputs):
         """Both paths reject k_p >= k, including for trivial specs."""
         trivial = PerturbationSpec(delta=0.0, layer=MONITORED_LAYER)

@@ -52,6 +52,19 @@ class TestShapesAndMonotonicity:
         assert np.all(np.diff(cuts, axis=1) > 0)
 
 
+    @pytest.mark.parametrize(
+        "strategy", ALL_STRATEGIES + [range_extension_thresholds], ids=lambda f: f.__name__
+    )
+    def test_cut_points_do_not_depend_on_memory_layout(self, strategy):
+        """A row-major view and a gathered column copy give the same bits."""
+        rng = np.random.default_rng(5)
+        wide = rng.normal(size=(1000, 12))
+        view = wide[:, 2:9]
+        gathered = wide[:, np.arange(2, 9)]
+        np.testing.assert_array_equal(strategy(view, 3), strategy(gathered, 3))
+        np.testing.assert_array_equal(strategy(view, 3), strategy(np.ascontiguousarray(view), 3))
+
+
 class TestSemantics:
     def test_zero_thresholds_are_zero(self, activations):
         cuts = zero_thresholds(activations, 1)

@@ -70,24 +70,6 @@ class TestDense:
         with pytest.raises(ConfigurationError):
             layer.backward(np.zeros((1, 2)))
 
-    def test_propagate_box_is_sound_on_samples(self, rng):
-        layer = build(Dense(5), 6, rng)
-        low = rng.normal(size=6) - 0.5
-        high = low + rng.uniform(0.1, 1.0, size=6)
-        out_low, out_high = layer.propagate_box(low, high)
-        samples = rng.uniform(low, high, size=(200, 6))
-        outputs = layer.forward(samples)
-        assert np.all(outputs >= out_low[None, :] - 1e-9)
-        assert np.all(outputs <= out_high[None, :] + 1e-9)
-
-    def test_propagate_box_is_exact_for_affine(self, rng):
-        layer = build(Dense(2), 2, rng)
-        layer.set_weights([np.array([[2.0, -1.0], [0.0, 3.0]]), np.array([1.0, -1.0])])
-        out_low, out_high = layer.propagate_box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        # Exact image bounds: x1*2 in [0,2]; -x1 + 3*x2 in [-1, 3]; plus bias.
-        np.testing.assert_allclose(out_low, [1.0, -2.0])
-        np.testing.assert_allclose(out_high, [3.0, 2.0])
-
     def test_invalid_units_rejected(self):
         with pytest.raises(ConfigurationError):
             Dense(0)
@@ -114,12 +96,6 @@ class TestActivationLayer:
         grad = layer.backward(np.array([[1.0, 1.0, 1.0]]))
         np.testing.assert_array_equal(grad, [[0.0, 1.0, 1.0]])
 
-    def test_propagate_box_uses_monotone_transform(self, rng):
-        layer = build(ActivationLayer("tanh"), 2, rng)
-        low, high = layer.propagate_box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(low, np.tanh([-1.0, 0.0]))
-        np.testing.assert_allclose(high, np.tanh([1.0, 2.0]))
-
 
 class TestDropout:
     def test_inference_is_identity(self, rng):
@@ -136,12 +112,6 @@ class TestDropout:
         kept_values = out[out != 0.0]
         np.testing.assert_allclose(kept_values, 2.0)
 
-    def test_propagate_box_is_identity(self, rng):
-        layer = build(Dropout(0.3), 3, rng)
-        low, high = layer.propagate_box(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(low, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(high, [1.0, 2.0, 3.0])
-
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             Dropout(1.0)
@@ -153,17 +123,10 @@ class TestFlattenAndScale:
         x = rng.normal(size=(2, 3, 3))
         assert layer.forward(x).shape == (2, 9)
 
-    def test_scale_forward_and_box(self, rng):
+    def test_scale_forward(self, rng):
         layer = build(Scale(scale=2.0, shift=1.0), 3, rng)
         x = np.array([[1.0, -1.0, 0.0]])
         np.testing.assert_allclose(layer.forward(x), [[3.0, -1.0, 1.0]])
-        low, high = layer.propagate_box(np.array([-1.0]), np.array([1.0]))
-        np.testing.assert_allclose((low, high), ([-1.0], [3.0]))
-
-    def test_negative_scale_swaps_bounds(self, rng):
-        layer = build(Scale(scale=-1.0), 1, rng)
-        low, high = layer.propagate_box(np.array([0.0]), np.array([2.0]))
-        assert low[0] == -2.0 and high[0] == 0.0
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ConfigurationError):

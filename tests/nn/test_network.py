@@ -1,11 +1,9 @@
-"""Tests for the Sequential network: slicing, gradients and box propagation."""
+"""Tests for the Sequential network: slicing, gradients and serialization."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError, LayerIndexError, ShapeError
+from repro.exceptions import ConfigurationError, LayerIndexError
 from repro.nn.layers import ActivationLayer, Dense
 from repro.nn.network import Sequential, mlp
 
@@ -105,43 +103,6 @@ class TestGradientsAndParameters:
         assert any(np.any(g != 0) for g in grads.values())
         tiny_network.zero_gradients()
         assert all(np.all(g == 0) for g in tiny_network.gradients().values())
-
-
-class TestBoxPropagation:
-    def test_degenerate_box_tracks_concrete_value(self, tiny_network, tiny_inputs):
-        x = tiny_inputs[0]
-        low, high = tiny_network.propagate_box(x, x, 0, tiny_network.num_layers)
-        concrete = tiny_network.forward(x)
-        np.testing.assert_allclose(low, concrete, atol=1e-9)
-        np.testing.assert_allclose(high, concrete, atol=1e-9)
-
-    @settings(max_examples=25, deadline=None)
-    @given(delta=st.floats(0.0, 0.5), sample_seed=st.integers(0, 2**20))
-    def test_soundness_property(self, tiny_network, tiny_inputs, delta, sample_seed):
-        """Concrete outputs of perturbed inputs stay inside propagated bounds."""
-        x = tiny_inputs[0]
-        low, high = tiny_network.propagate_box(
-            x - delta, x + delta, 0, tiny_network.num_layers
-        )
-        rng = np.random.default_rng(sample_seed)
-        perturbed = x + rng.uniform(-delta, delta, size=x.shape)
-        output = tiny_network.forward(perturbed)
-        assert np.all(output >= low - 1e-9)
-        assert np.all(output <= high + 1e-9)
-
-    def test_invalid_slice_rejected(self, tiny_network):
-        x = np.zeros(tiny_network.input_dim)
-        with pytest.raises(LayerIndexError):
-            tiny_network.propagate_box(x, x, 3, 3)
-
-    def test_mismatched_bounds_rejected(self, tiny_network):
-        with pytest.raises(ShapeError):
-            tiny_network.propagate_box(np.zeros(2), np.zeros(2), 0, 1)
-
-    def test_inverted_bounds_rejected(self, tiny_network):
-        x = np.zeros(tiny_network.input_dim)
-        with pytest.raises(ShapeError):
-            tiny_network.propagate_box(x + 1.0, x, 0, 1)
 
 
 class TestConfigRoundTrip:

@@ -1,11 +1,15 @@
-"""Seed reference versions of the star-LP bounds and the robust-fit bound walk.
+"""Seed reference versions of the symbolic walk, the star-LP bounds and the
+robust-fit bound collection.
 
-These are the formulations the library started from: one dense
-``scipy.optimize.linprog`` call per dimension per sense for a star's bounds,
-a full symbolic walk per row for a batch of boxes, and one Definition-1
+These are the formulations the library started from: a single-sample
+:class:`Zonotope`, a single-sample layer walk (:func:`_propagate_geometric`)
+over a :class:`~repro.symbolic.interval.Box`, a :class:`Zonotope` or a
+:class:`~repro.symbolic.star.StarSet`, one dense ``scipy.optimize.linprog``
+call per dimension per sense for a star's bounds, and one Definition-1
 perturbation estimate per input for a training set.  They are slow but
-obviously right, so the tests (and the loop-vs-batched benchmarks) pin the
-closed-form and block-stacked tiers and the batched walks against them.
+obviously right, and they share no layer walk with ``repro.symbolic``, so
+the tests (and the loop-vs-batched benchmarks) pin the batched walk, the
+closed-form and block-stacked tiers against them.
 """
 
 from __future__ import annotations
@@ -15,12 +19,154 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.exceptions import ConfigurationError, PropagationError
-from repro.monitors.perturbation import perturbation_estimate
+from repro.exceptions import ConfigurationError, PropagationError, ShapeError
+from repro.nn.activations import ReLU
+from repro.nn.layers import ActivationLayer, Dense, Dropout, Flatten, Scale
 from repro.symbolic.interval import Box
-from repro.symbolic.propagation import _propagate_geometric
 from repro.symbolic.star import StarSet
 from repro.symbolic.star_lp import StarLPBackend
+
+
+class Zonotope:
+    """A zonotope ``{center + generators.T @ eps : eps ∈ [-1, 1]^m}``.
+
+    ``generators`` is stored with shape ``(num_symbols, dimension)`` so that
+    each row is one noise symbol's contribution.  ReLU layers use the DeepZ
+    minimal-area relaxation (Singh et al., NeurIPS 2018), one neuron at a
+    time; other monotone activations fall back to the box hull.
+    """
+
+    def __init__(self, center: np.ndarray, generators: np.ndarray) -> None:
+        center = np.asarray(center, dtype=np.float64).reshape(-1)
+        generators = np.asarray(generators, dtype=np.float64)
+        if generators.ndim != 2 or generators.shape[1] != center.shape[0]:
+            raise ShapeError(
+                f"generators must have shape (m, {center.shape[0]}), got "
+                f"{generators.shape}"
+            )
+        self.center = center
+        self.generators = generators
+
+    @classmethod
+    def from_box(cls, box: Box) -> "Zonotope":
+        """Zonotope with one noise symbol per non-degenerate dimension."""
+        radius = box.radius
+        nonzero = np.nonzero(radius > 0)[0]
+        generators = np.zeros((nonzero.shape[0], box.dimension))
+        for row, dim in enumerate(nonzero):
+            generators[row, dim] = radius[dim]
+        return cls(box.center, generators)
+
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Tightest per-dimension ``(low, high)`` of the zonotope."""
+        radius = np.abs(self.generators).sum(axis=0)
+        return self.center - radius, self.center + radius
+
+    def affine(self, weights: np.ndarray, bias: np.ndarray) -> "Zonotope":
+        """Exact image under ``x -> x @ weights + bias``."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape[0] != self.center.shape[0]:
+            raise ShapeError(
+                f"weight rows {weights.shape[0]} do not match zonotope dimension "
+                f"{self.center.shape[0]}"
+            )
+        return Zonotope(self.center @ weights + bias, self.generators @ weights)
+
+    def relu(self) -> "Zonotope":
+        """DeepZ relaxation: per unstable neuron (``l < 0 < u``) the affine
+        form ``λ·x + μ`` with ``λ = u/(u−l)``, ``μ = −λ·l/2`` plus a fresh
+        noise symbol of magnitude ``μ``; stable neurons are exact."""
+        low, high = self.bounds()
+        center = np.array(self.center, copy=True)
+        generators = np.array(self.generators, copy=True)
+        fresh_rows = []
+        for j in range(center.shape[0]):
+            l, u = low[j], high[j]
+            if l >= 0.0:
+                continue
+            if u <= 0.0:
+                center[j] = 0.0
+                generators[:, j] = 0.0
+                continue
+            slope = u / (u - l)
+            mu = -slope * l / 2.0
+            center[j] = slope * center[j] + mu
+            generators[:, j] *= slope
+            fresh = np.zeros(center.shape[0])
+            fresh[j] = mu
+            fresh_rows.append(fresh)
+        if fresh_rows:
+            generators = np.vstack([generators, np.array(fresh_rows)])
+        return Zonotope(center, generators)
+
+    def elementwise_monotone(self, bound_transform) -> "Zonotope":
+        """Box-hull relaxation of a monotone activation."""
+        return Zonotope.from_box(Box(*bound_transform(*self.bounds())))
+
+
+def _box_layer(layer, box: Box) -> Box:
+    """Interval arithmetic of one layer (the seed per-layer box rule)."""
+    if isinstance(layer, Dense):
+        return box.affine(layer.weights, layer.bias)
+    if isinstance(layer, ActivationLayer):
+        return Box(*layer.activation.bound_transform(box.low, box.high))
+    if isinstance(layer, Scale):
+        low = box.low * layer.scale + layer.shift
+        high = box.high * layer.scale + layer.shift
+        return Box(high, low) if layer.scale < 0 else Box(low, high)
+    return box
+
+
+def _propagate_geometric(
+    network, abstract, from_layer: int, to_layer: int, star_lp_backend=None
+):
+    """The seed single-sample layer walk over a Box, Zonotope or StarSet.
+
+    A star answers its bound queries through ``star_lp_backend`` (default:
+    :class:`LoopStarLPBackend`, the seed per-dimension LPs).
+    """
+    backend = star_lp_backend if star_lp_backend is not None else LoopStarLPBackend()
+    for layer in network.layers[from_layer:to_layer]:
+        if not isinstance(layer, (Dense, ActivationLayer, Dropout, Flatten, Scale)):
+            raise PropagationError(f"no rule for layer type {type(layer).__name__}")
+        if isinstance(abstract, Box):
+            abstract = _box_layer(layer, abstract)
+        elif isinstance(layer, Dense):
+            abstract = abstract.affine(layer.weights, layer.bias)
+        elif isinstance(layer, Scale):
+            dimension = abstract.center.shape[0]
+            abstract = abstract.affine(
+                np.eye(dimension) * layer.scale, np.full(dimension, layer.shift)
+            )
+        elif isinstance(layer, ActivationLayer):
+            relu = isinstance(layer.activation, ReLU)
+            transform = layer.activation.bound_transform
+            if isinstance(abstract, StarSet):
+                bounds = backend.bounds(abstract)
+                abstract = (
+                    abstract.relu(bounds)
+                    if relu
+                    else abstract.elementwise_monotone(transform, bounds)
+                )
+            else:
+                abstract = abstract.relu() if relu else abstract.elementwise_monotone(transform)
+    return abstract
+
+
+def propagate_single(
+    network, box: Box, from_layer: int, to_layer: int, method: str, star_lp_backend=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Seed ``(low, high)`` of one box at ``to_layer`` under ``method``."""
+    if method == "box":
+        result = _propagate_geometric(network, box, from_layer, to_layer)
+        return result.low, result.high
+    if method == "zonotope":
+        return _propagate_geometric(
+            network, Zonotope.from_box(box), from_layer, to_layer
+        ).bounds()
+    backend = star_lp_backend if star_lp_backend is not None else LoopStarLPBackend()
+    star = _propagate_geometric(network, StarSet.from_box(box), from_layer, to_layer, backend)
+    return backend.bounds(star)
 
 
 def dimension_bound(star: StarSet, direction: np.ndarray, maximise: bool) -> float:
@@ -60,7 +206,7 @@ class LoopStarLPBackend(StarLPBackend):
     """:func:`star_bounds_loop` behind the star-LP back-end interface.
 
     No closed form, no stacking: pass an instance wherever a
-    ``star_lp_backend`` / ``lp_backend`` is taken to run the seed path.
+    ``star_lp_backend`` is taken to run the seed path.
     """
 
     name = "loop"
@@ -83,20 +229,15 @@ def star_bounds_loop_batch(
     through ``star_lp_backend`` — by default a :class:`LoopStarLPBackend`,
     i.e. the original ``2·d``-LPs-per-query path.
     """
-    backend = star_lp_backend if star_lp_backend is not None else LoopStarLPBackend()
     batch = batched_box.batch_size
     out_dim = network.layer_output_dim(to_layer)
     lows = np.empty((batch, out_dim))
     highs = np.empty((batch, out_dim))
     for index in range(batch):
-        low, high = batched_box.row(index)
-        star = _propagate_geometric(
-            network,
-            StarSet.from_box(Box(low, high), lp_backend=backend),
-            from_layer,
-            to_layer,
+        box = Box(*batched_box.row(index))
+        lows[index], highs[index] = propagate_single(
+            network, box, from_layer, to_layer, "star", star_lp_backend
         )
-        lows[index], highs[index] = star.bounds()
     return lows, highs
 
 
@@ -115,7 +256,9 @@ def collect_bound_arrays_loop(
         return features, np.array(features, copy=True)
     lows, highs = [], []
     for row in inputs:
-        estimate = perturbation_estimate(network, row, monitored_layer, spec)
-        lows.append(np.atleast_1d(estimate.low))
-        highs.append(np.atleast_1d(estimate.high))
+        anchor = np.asarray(network.forward_to(spec.layer, row)).reshape(-1)
+        box = Box.from_center(anchor, spec.delta)
+        low, high = propagate_single(network, box, spec.layer, monitored_layer, spec.method)
+        lows.append(low)
+        highs.append(high)
     return np.vstack(lows), np.vstack(highs)

@@ -29,7 +29,8 @@ from repro.symbolic.propagation import (
     propagate_bounds,
     propagate_bounds_batch,
 )
-from repro.symbolic.zonotope import Zonotope
+
+from ..oracles.symbolic import Zonotope
 
 #: Tight agreement tolerance: identical arithmetic, possibly different
 #: BLAS kernels / summation groupings.
@@ -144,9 +145,9 @@ class TestBatchedZonotope:
             single = Zonotope.from_box(Box(box.lows[i], box.highs[i])).affine(
                 weights, bias
             )
-            s_box = single.to_box()
-            assert_rowwise_close(b_lows[i], s_box.low, f"row {i} low")
-            assert_rowwise_close(b_highs[i], s_box.high, f"row {i} high")
+            s_low, s_high = single.bounds()
+            assert_rowwise_close(b_lows[i], s_low, f"row {i} low")
+            assert_rowwise_close(b_highs[i], s_high, f"row {i} high")
 
     def test_relu_matches_single_zonotope(self, rng):
         # Centers straddling zero so all three ReLU cases occur.
@@ -164,9 +165,9 @@ class TestBatchedZonotope:
                 .affine(weights, bias)
                 .relu()
             )
-            s_box = single.to_box()
-            assert_rowwise_close(b_lows[i], s_box.low, f"row {i} low")
-            assert_rowwise_close(b_highs[i], s_box.high, f"row {i} high")
+            s_low, s_high = single.bounds()
+            assert_rowwise_close(b_lows[i], s_low, f"row {i} low")
+            assert_rowwise_close(b_highs[i], s_high, f"row {i} high")
 
     def test_zero_slot_pruning_preserves_bounds(self, rng):
         centers = rng.normal(size=(3, 4))
@@ -182,6 +183,96 @@ class TestBatchedZonotope:
     def test_generator_shape_validation(self):
         with pytest.raises(ShapeError):
             BatchedZonotope(np.zeros((2, 3)), np.zeros((2, 4, 2)))
+
+    def test_degenerate_box_round_trip(self):
+        low, high = np.array([[-1.0, 2.0, 0.0]]), np.array([[1.0, 3.0, 0.0]])
+        zono = BatchedZonotope.from_batched_box(BatchedBox(low, high))
+        assert zono.num_generators == 2  # no symbol for the degenerate dimension
+        lows, highs = zono.bounds()
+        np.testing.assert_allclose(lows, low)
+        np.testing.assert_allclose(highs, high)
+
+    def test_points_have_no_generators(self):
+        zono = BatchedZonotope.from_batched_box(BatchedBox.from_points(np.ones((2, 3))))
+        assert zono.num_generators == 0
+        np.testing.assert_array_equal(zono.radii(), np.zeros((2, 3)))
+
+    def test_affine_is_exact_for_linear_maps(self):
+        box = BatchedBox(np.array([[0.0, -1.0]]), np.array([[2.0, 1.0]]))
+        weights = np.array([[1.0, 1.0], [1.0, -1.0]])
+        image = BatchedZonotope.from_batched_box(box).affine(weights, np.array([0.5, 0.0]))
+        lows, highs = image.bounds()
+        # dim 0: x0 + x1 + 0.5 with x0 in [0,2], x1 in [-1,1] -> [-0.5, 3.5]
+        # dim 1: x0 - x1                                      -> [-1.0, 3.0]
+        np.testing.assert_allclose(lows, [[-0.5, -1.0]])
+        np.testing.assert_allclose(highs, [[3.5, 3.0]])
+
+    def test_affine_dimension_mismatch_rejected(self):
+        zono = BatchedZonotope.from_batched_box(BatchedBox.from_points(np.zeros((1, 2))))
+        with pytest.raises(ShapeError):
+            zono.affine(np.zeros((3, 2)), np.zeros(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_affine_soundness_property(self, seed):
+        """Concrete affine images of sampled points stay in the bounds."""
+        rng = np.random.default_rng(seed)
+        box = BatchedBox.from_centers(rng.normal(size=(2, 3)), rng.uniform(0.0, 1.0, size=3))
+        weights, bias = rng.normal(size=(3, 4)), rng.normal(size=4)
+        lows, highs = BatchedZonotope.from_batched_box(box).affine(weights, bias).bounds()
+        for row in range(2):
+            points = rng.uniform(box.lows[row], box.highs[row], size=(50, 3))
+            images = points @ weights + bias
+            assert np.all(images >= lows[row] - 1e-7) and np.all(images <= highs[row] + 1e-7)
+
+    def test_tighter_than_box_after_two_affine_layers(self):
+        """Correlation tracking makes zonotopes at least as tight as boxes."""
+        rng = np.random.default_rng(3)
+        box = BatchedBox.from_centers(rng.normal(size=(1, 4)), 0.5)
+        w1, b1 = rng.normal(size=(4, 6)), rng.normal(size=6)
+        w2, b2 = rng.normal(size=(6, 3)), rng.normal(size=3)
+        box_image = box.affine(w1, b1).affine(w2, b2)
+        lows, highs = (
+            BatchedZonotope.from_batched_box(box).affine(w1, b1).affine(w2, b2).bounds()
+        )
+        assert np.sum(highs - lows) <= np.sum(box_image.highs - box_image.lows) + 1e-9
+        assert np.all(lows >= box_image.lows - 1e-9) and np.all(highs <= box_image.highs + 1e-9)
+
+    @pytest.mark.parametrize(
+        "center,expected",
+        [(2.0, ([1.5], [2.5])), (-2.0, ([0.0], [0.0]))],
+        ids=["stable-positive-unchanged", "stable-negative-zero"],
+    )
+    def test_relu_stable_neurons(self, center, expected):
+        zono = BatchedZonotope(np.array([[center]]), np.array([[[0.5]]]))
+        lows, highs = zono.relu().bounds()
+        np.testing.assert_allclose(lows[0], expected[0])
+        np.testing.assert_allclose(highs[0], expected[1])
+
+    def test_relu_unstable_neuron_contains_image(self):
+        zono = BatchedZonotope(np.array([[0.0]]), np.array([[[1.0]]]))  # [-1, 1]
+        lows, highs = zono.relu().bounds()
+        assert lows[0, 0] <= 1e-12 and highs[0, 0] >= 1.0 - 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_relu_soundness_property(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(2, 4))
+        generators = rng.normal(size=(2, 3, 4)) * 0.5
+        lows, highs = BatchedZonotope(centers, generators).relu().bounds()
+        eps = rng.uniform(-1, 1, size=(60, 3))
+        for row in range(2):
+            outputs = np.maximum(centers[row] + eps @ generators[row], 0.0)
+            assert np.all(outputs >= lows[row] - 1e-9)
+            assert np.all(outputs <= highs[row] + 1e-9)
+
+    def test_elementwise_monotone_uses_bound_transform(self):
+        zono = BatchedZonotope(np.array([[0.0]]), np.array([[[2.0]]]))
+        image = zono.elementwise_monotone(lambda lo, hi: (np.tanh(lo), np.tanh(hi)))
+        lows, highs = image.bounds()
+        np.testing.assert_allclose(lows[0], np.tanh([-2.0]))
+        np.testing.assert_allclose(highs[0], np.tanh([2.0]))
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,6 @@ from repro.symbolic.propagation import (
     PROPAGATION_METHODS,
     perturbation_bounds,
     propagate_bounds,
-    propagate_box,
-    propagate_star,
-    propagate_zonotope,
-    propagation_backends,
 )
 
 
@@ -77,20 +73,16 @@ class TestPropagateBounds:
             propagate_bounds(tiny_network, box, 0, 2, method="octagon")
         message = str(excinfo.value)
         assert "octagon" in message
-        for backend in propagation_backends():
+        for backend in PROPAGATION_METHODS:
             assert backend in message
 
-    def test_invalid_slice_rejected(self, tiny_network, tiny_inputs):
+    @pytest.mark.parametrize("method", PROPAGATION_METHODS)
+    def test_invalid_slice_rejected(self, tiny_network, tiny_inputs, method):
         box = Box.from_point(tiny_inputs[0])
         with pytest.raises(LayerIndexError):
-            propagate_box(tiny_network, box, 2, 2)
+            propagate_bounds(tiny_network, box, 2, 2, method)
         with pytest.raises(LayerIndexError):
-            propagate_zonotope(tiny_network, box, 5, 3)
-
-    def test_backends_registry_lists_all(self):
-        backends = propagation_backends()
-        assert set(backends) == set(PROPAGATION_METHODS)
-        assert backends["star"] is propagate_star
+            propagate_bounds(tiny_network, box, 5, 3, method)
 
 
 class TestPerturbationBounds:

@@ -102,19 +102,19 @@ class TestAffine:
 class TestReLU:
     def test_stable_negative_dimension_is_zeroed(self):
         star = StarSet(np.array([-3.0]), np.array([[0.5]]))
-        low, high = star.relu().bounds()
+        low, high = star.relu(star.bounds()).bounds()
         np.testing.assert_allclose(low, [0.0], atol=1e-9)
         np.testing.assert_allclose(high, [0.0], atol=1e-9)
 
     def test_stable_positive_dimension_unchanged(self):
         star = StarSet(np.array([3.0]), np.array([[0.5]]))
-        low, high = star.relu().bounds()
+        low, high = star.relu(star.bounds()).bounds()
         np.testing.assert_allclose(low, [2.5], atol=1e-7)
         np.testing.assert_allclose(high, [3.5], atol=1e-7)
 
     def test_unstable_dimension_triangle_relaxation_bounds(self):
         star = StarSet(np.array([0.5]), np.array([[1.5]]))  # pre-activation [-1, 2]
-        low, high = star.relu().bounds()
+        low, high = star.relu(star.bounds()).bounds()
         assert low[0] <= 1e-7
         assert high[0] >= 2.0 - 1e-7
 
@@ -126,7 +126,8 @@ class TestReLU:
         star = StarSet.from_box(box)
         weights = rng.normal(size=(3, 3))
         bias = rng.normal(size=3)
-        transformed = star.affine(weights, bias).relu()
+        image = star.affine(weights, bias)
+        transformed = image.relu(image.bounds())
         out_box = transformed.to_box()
         for point in box.sample(30, rng=rng):
             concrete = np.maximum(point @ weights + bias, 0.0)
@@ -139,27 +140,17 @@ class TestReLU:
         box_out = box.affine(weights, bias).elementwise_monotone(
             lambda x: np.maximum(x, 0.0)
         )
-        star_out = StarSet.from_box(box).affine(weights, bias).relu().to_box()
+        image = StarSet.from_box(box).affine(weights, bias)
+        star_out = image.relu(image.bounds()).to_box()
         assert star_out.width_sum() <= box_out.width_sum() + 1e-6
 
 
-class TestSamplingAndMonotone:
+class TestMonotone:
     def test_elementwise_monotone_matches_box_transform(self):
         star = StarSet.from_box(Box(np.array([-1.0]), np.array([2.0])))
-        image = star.elementwise_monotone(lambda lo, hi: (np.tanh(lo), np.tanh(hi)))
+        image = star.elementwise_monotone(
+            lambda lo, hi: (np.tanh(lo), np.tanh(hi)), star.bounds()
+        )
         low, high = image.bounds()
         np.testing.assert_allclose(low, np.tanh([-1.0]), atol=1e-7)
         np.testing.assert_allclose(high, np.tanh([2.0]), atol=1e-7)
-
-    def test_sample_returns_points_inside_bounding_box(self):
-        box = Box(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        star = StarSet.from_box(box)
-        samples = star.sample(20, rng=np.random.default_rng(0))
-        bounding = star.to_box()
-        for sample in samples:
-            assert bounding.contains(sample, tolerance=1e-6)
-
-    def test_sample_of_point_star_returns_center(self):
-        star = StarSet.from_point(np.array([1.0, 2.0]))
-        samples = star.sample(5)
-        np.testing.assert_allclose(samples, np.tile([1.0, 2.0], (5, 1)))

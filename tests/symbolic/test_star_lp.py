@@ -212,7 +212,8 @@ def constrained_stars(rng, count, dim=3):
         box = Box.from_center(rng.normal(size=dim), rng.uniform(0.2, 0.8))
         weights = rng.normal(size=(dim, dim))
         bias = rng.normal(size=dim)
-        star = StarSet.from_box(box).affine(weights, bias).relu()
+        image = StarSet.from_box(box).affine(weights, bias)
+        star = image.relu(image.bounds())
         if not star.is_hypercube_domain:
             stars.append(star)
     return stars

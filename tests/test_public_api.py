@@ -28,7 +28,6 @@ class TestExports:
             "Sequential",
             "mlp",
             "Box",
-            "Zonotope",
             "StarSet",
             "MinMaxMonitor",
             "RobustMinMaxMonitor",
@@ -215,13 +214,47 @@ class TestBenchmarkSurface:
             ("repro.symbolic", "LoopStarLPBackend"),
             ("repro.monitors.perturbation", "collect_bound_arrays_loop"),
             ("repro.symbolic.propagation", "_star_bounds_loop"),
+            ("repro", "Zonotope"),
+            ("repro.symbolic", "Zonotope"),
+            ("repro.symbolic.propagation", "propagate_box"),
+            ("repro.symbolic.propagation", "propagate_zonotope"),
+            ("repro.symbolic.propagation", "propagate_star"),
+            ("repro.symbolic.propagation", "propagation_backends"),
+            ("repro.symbolic.propagation", "_propagate_geometric"),
+            ("repro.symbolic.propagation", "_propagate_zonotope_batch_walk"),
+            ("repro.monitors.perturbation", "perturbation_estimates"),
+            ("repro.monitors.perturbation", "collect_estimates"),
+            ("repro.monitors", "perturbation_estimates"),
         ],
     )
     def test_removed_names_no_longer_import(self, module, name):
         assert not hasattr(importlib.import_module(module), name)
 
+    def test_nn_classes_have_no_box_walk(self):
+        """Bound propagation is the symbolic walk's job, not a layer method."""
+        from repro.nn import layers
+        from repro.nn.network import Sequential
+
+        classes = (
+            Sequential,
+            layers.Layer,
+            layers.Dense,
+            layers.ActivationLayer,
+            layers.Dropout,
+            layers.Flatten,
+            layers.Scale,
+        )
+        for cls in classes:
+            assert not hasattr(cls, "propagate_box"), cls.__name__
+            assert not hasattr(cls, "propagate_box_batch"), cls.__name__
+
     @pytest.mark.parametrize(
-        "module", ["repro.runtime.kernels.compiled_backend", "repro.runtime.kernels.sharded_backend"]
+        "module",
+        [
+            "repro.runtime.kernels.compiled_backend",
+            "repro.runtime.kernels.sharded_backend",
+            "repro.symbolic.zonotope",
+        ],
     )
     def test_removed_modules_no_longer_import(self, module):
         with pytest.raises(ImportError):
