@@ -52,7 +52,7 @@ def format_service_report(
     ]
     if isinstance(reasons, Mapping):
         # Render whatever reasons the front-end actually recorded ("size",
-        # "deadline", "drain", the pool's "adaptive", anything future) —
+        # "adaptive", "deadline", "drain", anything future) —
         # hard-coding the key set here is how new reasons go invisible.
         labels = " / ".join(str(reason) for reason in reasons)
         counts = " / ".join(str(count) for count in reasons.values())

@@ -14,10 +14,9 @@ name, and every transition is an explicit, validated state change:
   guard becomes a **candidate** (``promote`` does this implicitly);
 * ``promote``  — atomic swap: the front-end is quiesced (every frame
   submitted before the promotion resolves against the old version), then
-  the registry entry is replaced under its lock — each micro-batch scores
-  entirely against old or new, with a monotone boundary in submission
-  order (pinned by the hypothesis interleaving test).  Old live version:
-  **retired**;
+  the front-end swaps — each micro-batch scores entirely against old or
+  new, with a monotone boundary in submission order (pinned by the
+  hypothesis interleaving test).  Old live version: **retired**;
 * ``rollback`` — move the live pointer back to an earlier stored version
   and swap it in the same way.  Never deletes anything;
 * a shadowed candidate whose disagreement rate breaches its budget is
@@ -26,12 +25,16 @@ name, and every transition is an explicit, validated state change:
   of the new live and rolls back automatically when the new live diverges
   beyond the budget on real traffic.
 
-Front-end capability is duck-typed: an in-process
-:class:`~repro.service.StreamingScorer` (has ``registry``) supports the
-full machine including shadows; a :class:`~repro.serving.pool.WorkerPool`
-(has ``reload_workers``) supports deploy/promote/rollback via artefact
-swap + worker reload, but not shadow scoring — its members live in other
-processes and cannot share the engine pass.
+Both front-ends share the :class:`~repro.service.streaming.FrontEnd` core,
+and every transition is one call sequence on either: ``deploy`` for a
+first go-live, and ``quiesce`` then ``swap`` for promote and rollback.  An
+in-process :class:`~repro.service.StreamingScorer` swaps its registry
+entry; a :class:`~repro.serving.pool.WorkerPool` swaps the bundle artefact
+inside :meth:`~repro.serving.pool.WorkerPool.reload_workers` (pause, drain,
+swap, bump the generation), so a batch dispatched before the promotion —
+even one re-queued after a worker crash — scores the old version.  Shadow
+scoring needs the in-process scorer (``shadow_scoring``): a pool's members
+live in other processes and cannot share the engine pass.
 """
 
 from __future__ import annotations
@@ -106,18 +109,10 @@ class LifecycleManager:
         self._watches: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    # front-end capability (duck-typed)
+    # front-end calls
     # ------------------------------------------------------------------
-    @property
-    def _in_process(self) -> bool:
-        return hasattr(self.scorer, "registry")
-
-    @property
-    def _pooled(self) -> bool:
-        return hasattr(self.scorer, "reload_workers")
-
     def _require_shadow_capable(self, operation: str) -> None:
-        if not self._in_process:
+        if not self.scorer.shadow_scoring:
             raise LifecycleStateError(
                 f"{operation} needs shadow scoring, which requires an "
                 "in-process streaming scorer; a worker pool's members live "
@@ -127,36 +122,21 @@ class LifecycleManager:
 
     def _swap_live(self, name: str, monitor, version: int, timeout: float, quiesce: bool) -> None:
         """Make ``version`` the served state of ``name`` on the front-end."""
-        if self._in_process:
-            if quiesce:
-                # Promotion barrier: every frame submitted before this point
-                # resolves against the old version before the swap happens.
-                self.scorer.quiesce(timeout=timeout)
-            self.scorer.replace(name, monitor, version=version)
-        elif self._pooled:
-            from ..serving.artifacts import update_monitor_artifact
-
-            update_monitor_artifact(
-                self.scorer.bundle, name, self.store.path(name, version)
-            )
-            if not self.scorer.reload_workers(timeout=timeout):
-                raise LifecycleStateError(
-                    f"worker pool failed to reload within {timeout}s while "
-                    f"promoting '{name}' v{version}"
-                )
-        else:
-            raise LifecycleStateError(
-                "the front-end supports neither in-process replacement "
-                "(registry) nor worker reload (reload_workers)"
-            )
+        if quiesce:
+            # Promotion barrier: every frame submitted before this point
+            # resolves against the old version before the swap happens
+            # (best effort past ``timeout``: an overloaded front-end whose
+            # backlog outlasts it is still swapped).
+            self.scorer.quiesce(timeout=timeout)
+        self.scorer.swap(
+            name, monitor, version=version, timeout=timeout, artifact=self.store.path(name, version)
+        )
 
     def _set_state(self, name: str, version: int, state: str) -> None:
         self._states.setdefault(name, {})[int(version)] = state
 
     def _record_event(self, kind: str, name: str, **detail) -> None:
-        stats = getattr(self.scorer, "stats", None)
-        if stats is not None and hasattr(stats, "record_event"):
-            stats.record_event(kind, name, **detail)
+        self.scorer.stats.record_event(kind, name, **detail)
 
     # ------------------------------------------------------------------
     # transitions
@@ -187,16 +167,7 @@ class LifecycleManager:
                 self.store.fingerprint(name, version)  # validates existence
             if monitor is None:
                 monitor = self.store.load(name, version, self.network)
-            if self._in_process:
-                if name in self.scorer.registry:
-                    self.scorer.replace(name, monitor, version=version)
-                else:
-                    self.scorer.register(name, monitor, version=version)
-            elif self._pooled and name not in self.scorer.monitor_names:
-                raise LifecycleStateError(
-                    f"cannot deploy new name '{name}' on a worker pool; the "
-                    "bundle the workers booted from does not serve it"
-                )
+            self.scorer.deploy(name, monitor, version=version)
             self.store.set_live(name, version)
             self._set_state(name, version, STATE_LIVE)
             self._record_event("deploy", name, version=version)
@@ -357,8 +328,9 @@ class LifecycleManager:
         ``guard=True`` requires a shadowed candidate to have observed its
         ``min_frames`` without breaching the disagreement budget.  The
         swap is atomic: the front-end quiesces (frames submitted before
-        the promotion provably score against the old version), then the
-        registry entry (or worker bundle) flips in one step.
+        the promotion score against the old version, unless the backlog
+        outlasts ``timeout``), then the registry entry (or worker bundle)
+        flips in one step.
 
         ``watch_budget`` keeps the *outgoing* version scoring in shadow of
         the new live; if post-promotion disagreement on real traffic
@@ -422,7 +394,7 @@ class LifecycleManager:
         with self._lock:
             old_live = self.store.live_version(name)
             watch_name = self._watches.pop(name, None)
-            if watch_name is not None and self._in_process:
+            if watch_name is not None:
                 # Drop the post-promotion watch first: after the rollback
                 # the old version *is* live again and trailing it would
                 # only re-measure perfect agreement (or re-fire a breach).
@@ -522,11 +494,7 @@ class LifecycleManager:
                     entry["watch"] = watch
                 names[name] = entry
             return {
-                "front_end": (
-                    "streaming_scorer" if self._in_process
-                    else "worker_pool" if self._pooled
-                    else type(self.scorer).__name__
-                ),
+                "front_end": self.scorer.describe()["kind"],
                 "store": str(self.store.directory),
                 "monitors": names,
             }

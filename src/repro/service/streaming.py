@@ -10,13 +10,21 @@ gap with classic micro-batching:
 1. producers hand in single frames (:meth:`StreamingScorer.submit`) or small
    bursts (:meth:`StreamingScorer.submit_many`) and immediately receive a
    :class:`concurrent.futures.Future` per frame;
-2. a worker thread coalesces queued frames under a
+2. a flush thread coalesces queued frames under a
    :class:`BatchPolicy` — flush as soon as ``max_batch`` frames are pending,
    or when the *oldest* pending frame has waited ``max_latency`` seconds;
 3. each coalesced batch runs through one shared
    :class:`~repro.runtime.engine.BatchScoringEngine` pass covering every
    registered monitor, and the per-frame futures resolve with
    :class:`FrameResult` verdicts.
+
+Steps 1 and 2, and the resolution half of 3, are the :class:`FrontEnd`
+core: admission, coalescing, cancellation, resolution, ``close`` and
+``quiesce`` exist once.  :class:`StreamingScorer` is its in-process
+executor (it scores a batch inline on the flush thread); the
+multi-process :class:`~repro.serving.pool.WorkerPool` is the other
+executor (it hands a batch to worker processes and resolves it when they
+answer).
 
 Because a batch is scored by the same ``score_batch`` call the offline
 harness uses — and the engine feeds every monitor the same vectorised layer
@@ -36,6 +44,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -46,6 +55,7 @@ from ..exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
     ShapeError,
+    WorkerCrashError,
 )
 from ..monitors.base import MonitorVerdict
 from ..monitors.registry import MonitorRegistry
@@ -56,6 +66,7 @@ __all__ = [
     "BatchPolicy",
     "FrameRequest",
     "FrameResult",
+    "FrontEnd",
     "MicroBatcher",
     "ServiceStats",
     "StreamingScorer",
@@ -137,6 +148,10 @@ class MicroBatcher:
     def __len__(self) -> int:
         return len(self._pending)
 
+    def __iter__(self):
+        """The pending requests, oldest first (read-only view)."""
+        return iter(self._pending)
+
     @property
     def full(self) -> bool:
         """True when enough frames are pending for a size-triggered flush."""
@@ -199,6 +214,7 @@ class ServiceStats:
         self.frames_failed = 0
         self.frames_cancelled = 0
         self.batches = 0
+        # "adaptive" stays a (zero) key so the snapshot shape is stable.
         self.flush_reasons = {"size": 0, "adaptive": 0, "deadline": 0, "drain": 0}
         self.max_batch_size = 0
         self._latencies: "deque[float]" = deque(maxlen=int(latency_window))
@@ -219,9 +235,8 @@ class ServiceStats:
             self.batches += 1
             # Total over *any* reason string: a KeyError here would abort the
             # critical section half-applied (batches bumped, reason/latency
-            # state not) and kill the recording scorer thread — front-ends
-            # introduce new flush reasons (e.g. the pool's "adaptive") and the
-            # ledger must absorb them, not crash on them.
+            # state not) and kill the recording flush thread — a new flush
+            # reason must be absorbed by the ledger, not crash it.
             self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
             self.max_batch_size = max(self.max_batch_size, size)
             if failed:
@@ -253,13 +268,6 @@ class ServiceStats:
             self._events.append(event)
             self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
 
-    def in_flight(self) -> int:
-        """Frames submitted but not yet scored, failed or cancelled."""
-        with self._lock:
-            return self.frames_submitted - (
-                self.frames_scored + self.frames_failed + self.frames_cancelled
-            )
-
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Consistent copy of all counters plus derived latency statistics."""
@@ -289,7 +297,336 @@ class ServiceStats:
         return summary
 
 
-class StreamingScorer:
+class FrontEnd:
+    """Admission, coalescing and resolution shared by every front-end.
+
+    A front-end moves frames to a scoring executor and verdicts back.  This
+    core owns that path once: frame coercion and the admission errors of
+    :meth:`submit` / :meth:`submit_many`, the flush thread that coalesces
+    queued frames under the :class:`BatchPolicy` through a
+    :class:`MicroBatcher`, the cancelled-future filter, per-row resolution
+    into :class:`FrameResult` with latencies recorded in :class:`ServiceStats`,
+    failure fan-out, the cancel half of :meth:`close`, and :meth:`quiesce`.
+
+    A subclass is an *executor*.  It sets :attr:`kind`, passes its input
+    width to ``__init__`` and implements :meth:`_execute`, which takes one
+    coalesced batch of live requests and must eventually settle each of them
+    through :meth:`_resolve` or :meth:`_fail` — inline on the flush thread
+    (:class:`StreamingScorer`) or later from another thread
+    (:class:`~repro.serving.pool.WorkerPool`).  The optional hooks
+    :meth:`_start_executor`, :meth:`_shutdown` and :meth:`_handed_off` cover
+    executors with their own threads or processes.
+    """
+
+    #: Front-end kind, reported by :meth:`describe` (``"streaming_scorer"``).
+    kind = "front_end"
+    #: True when the front-end can score shadow candidates next to its live
+    #: members (an in-process registry); the lifecycle manager's shadow
+    #: transitions require it.
+    shadow_scoring = False
+
+    def __init__(
+        self,
+        policy: BatchPolicy,
+        input_dim: int,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.policy = policy
+        self.input_dim = int(input_dim)
+        self.stats = ServiceStats()
+        self._clock = clock
+        self._batcher = MicroBatcher(policy)
+        self._lock = threading.Lock()
+        self._wakeup = threading.Condition(self._lock)
+        self._closed = False
+        self._draining = False
+        #: Set by an executor that can no longer score anything; admission
+        #: raises it as a WorkerCrashError and the flush thread stops.
+        self._broken: Optional[BaseException] = None
+        #: While set, frames keep queueing but nothing flushes (a pool
+        #: reload holds it between drain and acknowledgement).
+        self._paused = False
+        #: Active quiesce() calls; while positive, pending frames flush now.
+        self._quiescing = 0
+        #: The batch the flush thread took last (quiesce waits on it).
+        self._current: Sequence[FrameRequest] = ()
+        self._worker: Optional[threading.Thread] = None
+
+    @property
+    def _name(self) -> str:
+        return self.kind.replace("_", " ")
+
+    def _raise_if_broken(self) -> None:
+        """Admission check (lock held): a broken executor takes no work."""
+        if self._broken is not None:
+            raise WorkerCrashError(
+                f"the {self._name} is broken: {self._broken}"
+            ) from self._broken
+
+    # ------------------------------------------------------------------
+    # executor hooks
+    # ------------------------------------------------------------------
+    def _execute(self, requests: List[FrameRequest], reason: str) -> None:
+        """Score one coalesced batch; settle it via _resolve or _fail."""
+        raise NotImplementedError
+
+    def _start_executor(self) -> None:
+        """Start executor resources (called once, under the lock)."""
+
+    def _shutdown(self, drain: bool, timeout: Optional[float]) -> None:
+        """Stop executor resources after the flush thread has exited."""
+
+    def _handed_off(self) -> List[Future]:
+        """Futures of frames taken from the queue, maybe unsettled (lock held).
+
+        The base covers the batch the flush thread took last; an executor
+        that settles batches after :meth:`_execute` returns adds its own.
+        """
+        return [request.future for request in self._current]
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def is_running(self) -> bool:
+        return self._worker is not None and self._worker.is_alive()
+
+    def start(self):
+        """Start the executor and the flush thread (idempotent while running)."""
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError(f"cannot restart a closed {self._name}")
+            if self.is_running:
+                return self
+            self._start_executor()
+            self._worker = threading.Thread(
+                target=self._flush_loop,
+                name="repro-" + self.kind.replace("_", "-"),
+                daemon=True,
+            )
+            self._worker.start()
+        return self
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(drain=exc_type is None)
+
+    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        """Stop accepting frames and shut the front-end down.
+
+        ``drain=True`` (the default) scores everything already accepted
+        before the executor stops; ``drain=False`` cancels queued frames
+        instead (a batch already handed to the executor still resolves).
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._draining = drain
+            queued = [] if drain else [r for batch in self._batcher.drain() for r in batch]
+            self._wakeup.notify_all()
+        # Futures are cancelled outside the lock: cancel() runs done-
+        # callbacks synchronously, and a callback that re-enters the
+        # front-end must not deadlock (resolution runs outside it too).
+        self._cancel(queued)
+        if self._worker is not None:
+            self._worker.join(timeout)
+        self._shutdown(drain, timeout)
+
+    def quiesce(self, timeout: Optional[float] = None) -> bool:
+        """Block until every frame submitted before the call has resolved.
+
+        Returns False when ``timeout`` expires first.  Frames still waiting
+        for their batch flush at once instead of waiting out
+        ``max_latency``.  This is the promotion barrier of the lifecycle
+        manager: quiesce, then swap — every frame submitted before the
+        quiesce began has been scored against the pre-swap monitors.
+        """
+        with self._lock:
+            waiting = [request.future for request in self._batcher] + self._handed_off()
+            self._quiescing += 1
+            self._wakeup.notify_all()
+        try:
+            _, not_done = futures_wait(waiting, timeout)
+            return not not_done
+        finally:
+            with self._lock:
+                self._quiescing -= 1
+
+    def describe(self) -> Dict[str, object]:
+        """Identity snapshot of the front-end."""
+        return {
+            "kind": self.kind,
+            "max_batch": self.policy.max_batch,
+            "max_latency": self.policy.max_latency,
+        }
+
+    # ------------------------------------------------------------------
+    # submission
+    # ------------------------------------------------------------------
+    def _coerce_frames(self, frames: np.ndarray, expect_many: bool) -> np.ndarray:
+        # Always copy: the queue must own the frame data, because producers
+        # routinely refill their sensor buffer the moment submit() returns,
+        # long before the flush thread takes the micro-batch.
+        frames = np.array(frames, dtype=np.float64, copy=True)
+        if frames.ndim == 1 and not expect_many:
+            frames = frames[None, :]
+        frames = np.atleast_2d(frames)
+        if frames.ndim != 2:
+            raise ShapeError(
+                f"expected a frame vector or (N, d) burst, got shape {frames.shape}"
+            )
+        if frames.shape[0] and frames.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"frame width {frames.shape[1]} does not match the {self._name}'s "
+                f"input dimension {self.input_dim}"
+            )
+        return frames
+
+    def submit(self, frame: np.ndarray) -> "Future[FrameResult]":
+        """Queue one frame; returns the future of its :class:`FrameResult`."""
+        frames = self._coerce_frames(frame, expect_many=False)
+        if frames.shape[0] != 1:
+            raise ShapeError("submit() takes exactly one frame; use submit_many")
+        return self._submit_coerced(frames)[0]
+
+    def submit_many(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
+        """Queue a burst of frames; returns one future per row, in order.
+
+        The whole burst is enqueued under one lock acquisition, so a burst
+        is coalesced together (and with whatever else is pending) rather
+        than trickling into the flush thread one frame at a time.
+        """
+        return self._submit_coerced(self._coerce_frames(frames, expect_many=True))
+
+    def _submit_coerced(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
+        now = self._clock()
+        requests = [FrameRequest(frame=row, enqueued_at=now) for row in frames]
+        with self._lock:
+            self._raise_if_broken()
+            if self._closed:
+                raise ServiceClosedError(
+                    f"the {self._name} is closed and no longer accepts frames"
+                )
+            if self._worker is None or not self._worker.is_alive():
+                raise ServiceClosedError(
+                    f"the {self._name} is not running; call start() first"
+                )
+            if requests and self._batcher.would_overflow(len(requests)):
+                raise ServiceOverloadedError(
+                    f"enqueueing {len(requests)} frame(s) would exceed "
+                    f"max_pending={self.policy.max_pending}; shed load or "
+                    "widen the policy"
+                )
+            for request in requests:
+                self._batcher.append(request)
+            if requests:
+                self._wakeup.notify_all()
+        self.stats.record_submitted(len(requests))
+        return [request.future for request in requests]
+
+    # ------------------------------------------------------------------
+    # flush thread
+    # ------------------------------------------------------------------
+    def _flush_loop(self) -> None:
+        while True:
+            with self._lock:
+                while True:
+                    if self._broken is not None:
+                        return
+                    if self._closed:
+                        if not (self._draining and len(self._batcher)):
+                            return
+                        reason = "drain"
+                        break
+                    if self._paused:
+                        # Frames keep queueing in FIFO order; the resume
+                        # (or close) notifies.
+                        self._wakeup.wait()
+                        continue
+                    now = self._clock()
+                    if self._batcher.ready(now):
+                        reason = "size" if self._batcher.full else "deadline"
+                        break
+                    if self._quiescing and len(self._batcher):
+                        reason = "drain"
+                        break
+                    deadline = self._batcher.deadline()
+                    self._wakeup.wait(
+                        None if deadline is None else max(0.0, deadline - now)
+                    )
+                batch = self._current = self._batcher.take()
+            requests = [
+                request
+                for request in batch
+                if request.future.set_running_or_notify_cancel()
+            ]
+            cancelled = len(batch) - len(requests)
+            if cancelled:
+                self.stats.record_cancelled(cancelled)
+            if requests:
+                self._execute(requests, reason)
+
+    # ------------------------------------------------------------------
+    # resolution
+    # ------------------------------------------------------------------
+    def _resolve(
+        self,
+        requests: List[FrameRequest],
+        reason: str,
+        warns: Dict[str, np.ndarray],
+        verdicts: Optional[Dict[str, Sequence[MonitorVerdict]]] = None,
+    ) -> None:
+        """Resolve each request's future with its row of the batch verdicts."""
+        try:
+            columns = {
+                name: np.asarray(flags, dtype=bool).tolist()
+                for name, flags in warns.items()
+            }
+            results = [
+                FrameResult(
+                    warns={name: column[row] for name, column in columns.items()},
+                    verdicts=(
+                        None
+                        if verdicts is None
+                        else {name: rows[row] for name, rows in verdicts.items()}
+                    ),
+                )
+                for row in range(len(requests))
+            ]
+        except Exception as exc:  # a malformed score fails its batch
+            self._fail(requests, reason, exc)
+            return
+        # The ledger is written before the futures resolve, so whoever sees
+        # a verdict also sees it counted.
+        done = self._clock()
+        self.stats.record_batch(
+            len(requests),
+            reason,
+            [done - request.enqueued_at for request in requests],
+            failed=False,
+        )
+        for request, result in zip(requests, results):
+            request.future.set_result(result)
+
+    def _fail(
+        self, requests: Sequence[FrameRequest], reason: str, exc: BaseException
+    ) -> None:
+        """Fail every still-open future of one batch with ``exc``."""
+        self.stats.record_batch(len(requests), reason, (), failed=True)
+        for request in requests:
+            if not request.future.done():
+                request.future.set_exception(exc)
+
+    def _cancel(self, requests: Sequence[FrameRequest]) -> None:
+        cancelled = sum(1 for request in requests if request.future.cancel())
+        if cancelled:
+            self.stats.record_cancelled(cancelled)
+
+
+class StreamingScorer(FrontEnd):
     """Micro-batching front-end serving many monitors over one network.
 
     Parameters
@@ -318,8 +655,13 @@ class StreamingScorer:
     The scorer is a context manager: ``with StreamingScorer(...) as scorer``
     starts the worker on entry and drains + joins it on exit.  Submissions
     are thread-safe; any number of producer threads may interleave
-    :meth:`submit` / :meth:`submit_many` calls.
+    :meth:`submit` / :meth:`submit_many` calls.  The flush thread scores
+    each micro-batch inline (:meth:`_execute`); everything else is the
+    shared :class:`FrontEnd` core.
     """
+
+    kind = "streaming_scorer"
+    shadow_scoring = True
 
     def __init__(
         self,
@@ -330,28 +672,23 @@ class StreamingScorer:
         cache_batches: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.policy = policy if policy is not None else BatchPolicy()
         if engine is not None and engine.network is not network:
             raise ConfigurationError(
                 "the streaming scorer's engine must wrap its host network"
             )
+        super().__init__(
+            policy if policy is not None else BatchPolicy(),
+            network.input_dim,
+            clock,
+        )
         self.engine = engine if engine is not None else BatchScoringEngine(network)
         self.registry = MonitorRegistry(network)
         self.want_verdicts = bool(want_verdicts)
         self.cache_batches = bool(cache_batches)
-        self.stats = ServiceStats()
         #: Optional :class:`~repro.lifecycle.manager.LifecycleManager` over
         #: this scorer; :meth:`MonitorPipeline.serve(lifecycle=True)
         #: <repro.core.pipeline.MonitorPipeline.serve>` attaches one.
         self.lifecycle = None
-        self._clock = clock
-        self._batcher = MicroBatcher(self.policy)
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._draining = False
-        self._worker: Optional[threading.Thread] = None
-        self._frame_dim: Optional[int] = None
 
     # ------------------------------------------------------------------
     # registration (delegates to the registry)
@@ -390,6 +727,28 @@ class StreamingScorer:
         old = self.registry.replace(name, monitor, version=version)
         self.stats.record_event("promote", name, version=version)
         return old
+
+    def deploy(self, name: str, monitor, version: Optional[int] = None) -> None:
+        """First go-live of ``name`` (lifecycle): register or replace it."""
+        if name in self.registry:
+            self.replace(name, monitor, version=version)
+        else:
+            self.register(name, monitor, version=version)
+
+    def swap(
+        self,
+        name: str,
+        monitor,
+        version: Optional[int] = None,
+        timeout=None,
+        artifact=None,
+    ) -> None:
+        """Serve ``monitor`` under ``name`` from the next batch on (lifecycle).
+
+        One registry replacement; ``timeout`` and the stored ``artifact``
+        are unused in-process.
+        """
+        self.replace(name, monitor, version=version)
 
     def attach_shadow(
         self,
@@ -444,192 +803,18 @@ class StreamingScorer:
             if getattr(monitor, "is_shadow", False)
         ]
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def is_running(self) -> bool:
-        return self._worker is not None and self._worker.is_alive()
-
-    def start(self) -> "StreamingScorer":
-        """Start the worker thread (idempotent while running)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("cannot restart a closed scorer")
-            if self._worker is not None and self._worker.is_alive():
-                return self
-            self._worker = threading.Thread(
-                target=self._worker_loop, name="repro-streaming-scorer", daemon=True
-            )
-            self._worker.start()
-        return self
-
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting frames and shut the worker down.
-
-        ``drain=True`` (the default) scores everything still queued before
-        the worker exits; ``drain=False`` cancels pending futures instead.
-        """
-        to_cancel: List[FrameRequest] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._draining = drain
-            if not drain:
-                for batch in self._batcher.drain():
-                    to_cancel.extend(batch)
-            worker = self._worker
-            self._wakeup.notify_all()
-        # Futures are cancelled outside the lock: cancel() runs done-
-        # callbacks synchronously, and a callback that re-enters the scorer
-        # must not deadlock (mirrors _score_batch resolving outside it).
-        cancelled = sum(1 for request in to_cancel if request.future.cancel())
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if worker is not None:
-            worker.join(timeout)
-
-    def quiesce(self, timeout: Optional[float] = None) -> bool:
-        """Block until every submitted frame has resolved (or ``timeout``).
-
-        Returns True when the pipeline drained.  This is the promotion
-        barrier of the lifecycle manager: quiesce, then swap — every frame
-        submitted before the quiesce began has provably been scored against
-        the pre-swap registry snapshot.
-        """
-        deadline = None if timeout is None else self._clock() + timeout
-        while self.stats.in_flight() > 0:
-            if deadline is not None and self._clock() >= deadline:
-                return False
-            with self._lock:
-                # Nudge the worker: a deadline-pending batch should flush
-                # now rather than keep the quiescing thread waiting.
-                self._wakeup.notify_all()
-            time.sleep(0.001)
-        return True
-
     def describe(self) -> Dict[str, object]:
         """Identity snapshot: registry entries with fingerprints/versions."""
         return {
-            "kind": "streaming_scorer",
+            **super().describe(),
             "registry": self.registry.describe(),
             "shadows": self.shadow_names(),
-            "max_batch": self.policy.max_batch,
-            "max_latency": self.policy.max_latency,
         }
 
-    def __enter__(self) -> "StreamingScorer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
     # ------------------------------------------------------------------
-    # submission
+    # executor
     # ------------------------------------------------------------------
-    def _coerce_frames(self, frames: np.ndarray, expect_many: bool) -> np.ndarray:
-        # Always copy: the queue must own the frame data, because producers
-        # routinely refill their sensor buffer the moment submit() returns,
-        # long before the worker flushes the micro-batch.
-        frames = np.array(frames, dtype=np.float64, copy=True)
-        if frames.ndim == 1 and not expect_many:
-            frames = frames[None, :]
-        frames = np.atleast_2d(frames)
-        if frames.ndim != 2:
-            raise ShapeError(
-                f"expected a frame vector or (N, d) burst, got shape {frames.shape}"
-            )
-        if frames.shape[0] and frames.shape[1] == 0:
-            raise ShapeError("frames must have at least one feature")
-        if self._frame_dim is None:
-            expected = getattr(self.network, "input_dim", None)
-            self._frame_dim = int(expected) if expected else frames.shape[1]
-        if frames.shape[0] and frames.shape[1] != self._frame_dim:
-            raise ShapeError(
-                f"frame width {frames.shape[1]} does not match the host "
-                f"network's input dimension {self._frame_dim}"
-            )
-        return frames
-
-    def submit(self, frame: np.ndarray) -> "Future[FrameResult]":
-        """Queue one frame; returns the future of its :class:`FrameResult`."""
-        frames = self._coerce_frames(frame, expect_many=False)
-        if frames.shape[0] != 1:
-            raise ShapeError("submit() takes exactly one frame; use submit_many")
-        return self._submit_coerced(frames)[0]
-
-    def submit_many(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
-        """Queue a burst of frames; returns one future per row, in order.
-
-        The whole burst is enqueued under one lock acquisition, so a burst
-        is coalesced together (and with whatever else is pending) rather
-        than trickling into the worker one frame at a time.
-        """
-        return self._submit_coerced(self._coerce_frames(frames, expect_many=True))
-
-    def _submit_coerced(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
-        now = self._clock()
-        requests = [FrameRequest(frame=row, enqueued_at=now) for row in frames]
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError(
-                    "the streaming scorer is closed and no longer accepts frames"
-                )
-            if self._worker is None or not self._worker.is_alive():
-                raise ServiceClosedError(
-                    "the streaming scorer is not running; call start() first"
-                )
-            if requests and self._batcher.would_overflow(len(requests)):
-                raise ServiceOverloadedError(
-                    f"enqueueing {len(requests)} frame(s) would exceed "
-                    f"max_pending={self.policy.max_pending}; shed load or "
-                    "widen the policy"
-                )
-            for request in requests:
-                self._batcher.append(request)
-            if requests:
-                self._wakeup.notify_all()
-        self.stats.record_submitted(len(requests))
-        return [request.future for request in requests]
-
-    # ------------------------------------------------------------------
-    # worker
-    # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while True:
-                    if self._closed:
-                        break
-                    now = self._clock()
-                    if self._batcher.ready(now):
-                        break
-                    deadline = self._batcher.deadline()
-                    timeout = None if deadline is None else max(0.0, deadline - now)
-                    self._wakeup.wait(timeout)
-                if self._closed and (not self._draining or len(self._batcher) == 0):
-                    return
-                reason = (
-                    "drain"
-                    if self._closed
-                    else ("size" if self._batcher.full else "deadline")
-                )
-                batch = self._batcher.take()
-            if batch:
-                self._score_batch(batch, reason)
-
-    def _score_batch(self, batch: List[FrameRequest], reason: str) -> None:
-        requests = [
-            request
-            for request in batch
-            if request.future.set_running_or_notify_cancel()
-        ]
-        cancelled = len(batch) - len(requests)
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if not requests:
-            return
+    def _execute(self, requests: List[FrameRequest], reason: str) -> None:
         inputs = np.vstack([request.frame for request in requests])
         monitors = self.registry.snapshot()
         shadows = [
@@ -654,25 +839,12 @@ class StreamingScorer:
                 )
                 if self.want_verdicts:
                     score.verdicts.pop(shadow.name, None)
-            results = []
-            for row in range(len(requests)):
-                warns = {
-                    name: bool(flags[row]) for name, flags in score.warns.items()
-                }
-                verdicts = (
-                    {name: vs[row] for name, vs in score.verdicts.items()}
-                    if self.want_verdicts
-                    else None
-                )
-                results.append(FrameResult(warns=warns, verdicts=verdicts))
         except BaseException as exc:  # propagate the failure into every future
-            for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            self.stats.record_batch(len(requests), reason, (), failed=True)
+            self._fail(requests, reason, exc)
             return
-        done = self._clock()
-        latencies = [done - request.enqueued_at for request in requests]
-        for request, result in zip(requests, results):
-            request.future.set_result(result)
-        self.stats.record_batch(len(requests), reason, latencies, failed=False)
+        self._resolve(
+            requests,
+            reason,
+            score.warns,
+            score.verdicts if self.want_verdicts else None,
+        )

@@ -9,9 +9,10 @@ package takes the same contract across process and machine boundaries:
   monitor artefacts + manifest, the unit a worker process boots from;
 - :class:`~repro.serving.WorkerPool` — N ``multiprocessing`` workers, each
   with a private :class:`~repro.runtime.engine.BatchScoringEngine`, fed
-  through shared-memory frame slots and one shared dispatch queue with an
-  adaptive flush deadline; crashed workers restart and their in-flight
-  batches are re-queued;
+  through shared-memory frame slots and one shared dispatch queue; its
+  admission and coalescing are the in-process scorer's
+  :class:`~repro.service.streaming.FrontEnd` core; crashed workers restart
+  and their in-flight batches are re-queued;
 - :class:`~repro.serving.ScoringServer` / :class:`~repro.serving.ScoringClient`
   — the TCP face and its pipelining clients (blocking and asyncio).
 
@@ -22,7 +23,7 @@ serialized artefacts the offline path round-trips through.
 
 from .artifacts import DeploymentBundle, save_deployment, update_monitor_artifact
 from .client import AsyncScoringClient, ScoringClient
-from .pool import AdaptiveBatcher, WorkerPool
+from .pool import WorkerPool
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
     Frame,
@@ -39,7 +40,6 @@ from .ring import SharedFrameRing
 from .server import ScoringServer
 
 __all__ = [
-    "AdaptiveBatcher",
     "AsyncScoringClient",
     "DEFAULT_MAX_PAYLOAD",
     "DeploymentBundle",

@@ -31,6 +31,32 @@ from . import protocol
 __all__ = ["AsyncScoringClient", "ScoringClient"]
 
 
+def _settle(future, frame: protocol.Frame) -> None:
+    """Resolve a request's future (threaded or asyncio) from its response.
+
+    A response that cannot be decoded, or whose type answers no request,
+    fails that future with :class:`~repro.exceptions.ProtocolError`; it is
+    never left pending.
+    """
+    try:
+        if frame.type == protocol.FrameType.RESULT:
+            future.set_result(protocol.decode_result(frame.payload))
+        elif frame.type == protocol.FrameType.ERROR:
+            code, message = protocol.decode_error(frame.payload)
+            future.set_exception(protocol.error_to_exception(code, message))
+        elif frame.type == protocol.FrameType.PONG:
+            future.set_result(frame.payload)
+        elif frame.type in (
+            protocol.FrameType.STATS_REPLY,
+            protocol.FrameType.LIFECYCLE_REPLY,
+        ):
+            future.set_result(protocol.decode_json(frame.payload))
+        else:
+            raise ProtocolError(f"unexpected response frame type {frame.type.name}")
+    except ProtocolError as exc:
+        future.set_exception(exc)
+
+
 class ScoringClient:
     """Blocking, pipelining client of a :class:`~repro.serving.ScoringServer`.
 
@@ -139,26 +165,8 @@ class ScoringClient:
     def _handle_frame(self, frame: protocol.Frame) -> None:
         with self._lock:
             future = self._pending.pop(frame.request_id, None)
-        if future is None:
-            return  # response to a request we gave up on
-        try:
-            if frame.type == protocol.FrameType.RESULT:
-                future.set_result(protocol.decode_result(frame.payload))
-            elif frame.type == protocol.FrameType.ERROR:
-                code, message = protocol.decode_error(frame.payload)
-                future.set_exception(protocol.error_to_exception(code, message))
-            elif frame.type == protocol.FrameType.PONG:
-                future.set_result(frame.payload)
-            elif frame.type == protocol.FrameType.STATS_REPLY:
-                future.set_result(protocol.decode_json(frame.payload))
-            elif frame.type == protocol.FrameType.LIFECYCLE_REPLY:
-                future.set_result(protocol.decode_json(frame.payload))
-            else:
-                future.set_exception(
-                    ProtocolError(f"unexpected response frame type {frame.type.name}")
-                )
-        except ProtocolError as exc:
-            future.set_exception(exc)
+        if future is not None:  # None: a response to a request we gave up on
+            _settle(future, frame)
 
     def _fail_pending(self, error: Exception) -> None:
         with self._lock:
@@ -367,20 +375,8 @@ class AsyncScoringClient:
                     break
                 for frame in decoder.feed(chunk):
                     future = self._pending.pop(frame.request_id, None)
-                    if future is None or future.done():
-                        continue
-                    if frame.type == protocol.FrameType.RESULT:
-                        future.set_result(protocol.decode_result(frame.payload))
-                    elif frame.type == protocol.FrameType.ERROR:
-                        code, message = protocol.decode_error(frame.payload)
-                        future.set_exception(protocol.error_to_exception(code, message))
-                    elif frame.type == protocol.FrameType.PONG:
-                        future.set_result(frame.payload)
-                    elif frame.type in (
-                        protocol.FrameType.STATS_REPLY,
-                        protocol.FrameType.LIFECYCLE_REPLY,
-                    ):
-                        future.set_result(protocol.decode_json(frame.payload))
+                    if future is not None and not future.done():
+                        _settle(future, frame)
         except ProtocolError as exc:
             error = exc
         except asyncio.CancelledError:
@@ -394,7 +390,7 @@ class AsyncScoringClient:
         if self._writer is None:
             await self.connect()
         request_id = next(self._ids)
-        future = asyncio.get_event_loop().create_future()
+        future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         writer = self._writer
         try:

@@ -1,35 +1,39 @@
 """Multi-process scoring worker pool behind the streaming submit API.
 
-:class:`WorkerPool` grows the streaming scorer's single worker *thread*
+:class:`WorkerPool` grows the streaming scorer's single scoring *thread*
 into N worker *processes* — the step that lets the service use every core
-instead of time-slicing one GIL.  The front-end surface is unchanged
+instead of time-slicing one GIL.  Both are executors of one
+:class:`~repro.service.streaming.FrontEnd` core, so the surface is the same
 (``submit`` / ``submit_many`` → one future per frame, ``close(drain=...)``,
-a :class:`~repro.service.streaming.ServiceStats` ledger), so anything that
-can drive a :class:`~repro.service.StreamingScorer` — including the socket
-server — can drive a pool.
+``quiesce``, a :class:`~repro.service.streaming.ServiceStats` ledger) and
+anything that can drive a :class:`~repro.service.StreamingScorer` —
+including the socket server and the lifecycle manager — can drive a pool.
 
-Architecture (one shared dispatch queue, N workers)::
+Architecture (one shared dispatch queue, one result pipe per worker)::
 
-    producers ──submit──► AdaptiveBatcher ──dispatcher──► task queue ──► workers
+    producers ──submit──► MicroBatcher ──flush thread──► task queue ──► workers
                                 │                │  frames via shared-memory ring
-    futures  ◄──collector── result queue ◄───────┴────────────┘
+    futures  ◄──collector── result pipes ◄───────┴────────────┘
 
-* the **dispatcher thread** coalesces frames under the pool's
-  :class:`~repro.service.BatchPolicy` with an *adaptive* deadline — the
-  flush deadline shrinks as queue depth grows (see :class:`AdaptiveBatcher`),
-  so a busy pool feeds idle workers promptly instead of letting frames age
-  toward the nominal latency bound — writes each batch into a free
-  shared-memory slot and queues only the slot coordinates;
+* admission, coalescing and resolution are the
+  :class:`~repro.service.streaming.FrontEnd` core the in-process scorer
+  runs too: the **flush thread** coalesces frames under the pool's
+  :class:`~repro.service.BatchPolicy` (flush at ``max_batch`` frames or
+  when the oldest frame has waited ``max_latency``); the pool's executor
+  writes each batch into a free shared-memory slot and queues only the
+  slot coordinates;
 * **workers** (separate processes, each booted from the same deployment
-  bundle) claim tasks from the one shared queue, score, and answer on the
-  result queue; every worker loads monitors from the same format-2
+  bundle) claim tasks from the one shared queue, score, and answer on
+  their own result pipe; every worker loads monitors from the same format-2
   artefacts, so verdicts are bit-identical across workers *and* to the
   offline ``warn_batch`` of the monitors the bundle was saved from;
 * the **collector thread** resolves futures from results, frees ring slots,
-  and supervises liveness: when a worker process dies, its *claimed but
-  unanswered* tasks are re-queued to the siblings (the slot still holds the
-  frames) and a replacement is spawned, up to ``max_restarts`` — accepted
-  frames survive a crash without producers noticing.
+  and supervises liveness: when a worker process dies (its pipe reaches end
+  of file), its *claimed but unanswered* tasks are re-queued to the
+  siblings (the slot still holds the frames) and a replacement is spawned,
+  up to ``max_restarts`` — accepted frames survive a crash without
+  producers noticing.  The pipes are per worker so that a process dying
+  mid-write can hold no lock a sibling's answers need.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import queue as queue_module
 import threading
 import time
+from collections import namedtuple
+from concurrent.futures import wait as futures_wait
+from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
@@ -47,24 +53,17 @@ import numpy as np
 
 from ..exceptions import (
     ConfigurationError,
+    LifecycleStateError,
     RemoteScoringError,
     ServiceClosedError,
-    ServiceOverloadedError,
-    ShapeError,
     WorkerCrashError,
 )
-from ..service.streaming import (
-    BatchPolicy,
-    FrameRequest,
-    FrameResult,
-    MicroBatcher,
-    ServiceStats,
-)
-from .artifacts import DeploymentBundle
+from ..service.streaming import BatchPolicy, FrameRequest, FrontEnd
+from .artifacts import DeploymentBundle, update_monitor_artifact
 from .ring import SharedFrameRing
 from .worker import CHAOS_EXIT_AFTER_CLAIM, WorkerConfig, worker_main
 
-__all__ = ["AdaptiveBatcher", "WorkerPool"]
+__all__ = ["WorkerPool"]
 
 _LOG = logging.getLogger("repro.serving.pool")
 
@@ -74,51 +73,11 @@ _LOG = logging.getLogger("repro.serving.pool")
 _BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class AdaptiveBatcher(MicroBatcher):
-    """Micro-batcher whose flush deadline shrinks as queue depth grows.
-
-    The plain policy waits up to ``max_latency`` for the oldest frame no
-    matter how much is queued behind it — sensible for one worker, wasteful
-    for a pool: with idle processes available, a deep queue should flush
-    *now* and let the hardware work.  The adaptive deadline interpolates
-    linearly: empty-ish queue → full ``max_latency`` (coalesce for
-    throughput), queue at ``max_batch`` → zero extra wait (``full`` flushes
-    anyway).  Deterministic and clock-free like its base class.
-    """
-
-    def deadline(self) -> Optional[float]:
-        base = super().deadline()
-        if base is None:
-            return None
-        shrink = self.policy.max_latency * min(
-            1.0, len(self) / float(self.policy.max_batch)
-        )
-        return base - shrink
-
-    def flush_reason(self, now: float) -> str:
-        """Why a flush at ``now`` fires: size, adaptive (early) or deadline."""
-        if self.full:
-            return "size"
-        base = MicroBatcher.deadline(self)
-        if base is not None and now < base:
-            return "adaptive"
-        return "deadline"
+#: One dispatched batch: its requests, ring slot and flush reason.
+_Task = namedtuple("_Task", "requests slot reason")
 
 
-class _Task:
-    """One dispatched batch: its futures, ring slot and accounting."""
-
-    __slots__ = ("requests", "slot", "nrows", "reason", "dispatched_at")
-
-    def __init__(self, requests, slot, nrows, reason, dispatched_at):
-        self.requests = requests
-        self.slot = slot
-        self.nrows = nrows
-        self.reason = reason
-        self.dispatched_at = dispatched_at
-
-
-class WorkerPool:
+class WorkerPool(FrontEnd):
     """Process-based scoring pool with the streaming submit/future surface.
 
     Parameters
@@ -129,8 +88,8 @@ class WorkerPool:
     num_workers:
         Worker process count.
     policy:
-        :class:`~repro.service.BatchPolicy` for the adaptive coalescer;
-        ``None`` uses ``BatchPolicy(max_batch=64, max_latency=0.005)``.
+        :class:`~repro.service.BatchPolicy` of the coalescer; ``None`` uses
+        ``BatchPolicy(max_batch=64, max_latency=0.005)``.
     mp_context:
         ``multiprocessing`` start method (``"spawn"`` by default: immune to
         fork-vs-threads hazards and identical across platforms).
@@ -144,7 +103,13 @@ class WorkerPool:
     pin_blas_threads:
         Export single-thread BLAS knobs to worker processes (recommended:
         process-level parallelism replaces BLAS thread pools).
+
+    :meth:`close` blocks until every worker process has been joined —
+    after it returns there are no child processes left (asserted by the CI
+    end-to-end leg via ``multiprocessing.active_children()``).
     """
+
+    kind = "worker_pool"
 
     def __init__(
         self,
@@ -164,29 +129,24 @@ class WorkerPool:
         self.bundle = (
             bundle if isinstance(bundle, DeploymentBundle) else DeploymentBundle(bundle)
         )
-        self.policy = policy if policy is not None else BatchPolicy(
-            max_batch=64, max_latency=0.005
+        super().__init__(
+            policy if policy is not None else BatchPolicy(max_batch=64, max_latency=0.005),
+            self.bundle.input_dim,
+            clock,
         )
         self.num_workers_requested = int(num_workers)
         self.max_restarts = int(max_restarts)
         self.pin_blas_threads = bool(pin_blas_threads)
-        self._clock = clock
         self._ctx = multiprocessing.get_context(mp_context)
         slots = int(slot_count) if slot_count is not None else max(2 * num_workers, 2)
         if slots < num_workers:
             raise ConfigurationError("slot_count must be at least num_workers")
         self._ring = SharedFrameRing(slots, self.policy.max_batch, self.bundle.input_dim)
         self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
+        #: Read end of each live worker's result pipe, by worker id.
+        self._results: Dict[int, multiprocessing.connection.Connection] = {}
 
-        self.stats = ServiceStats()
-        self._batcher = AdaptiveBatcher(self.policy)
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._draining = False
         self._stopping = False
-        self._broken: Optional[BaseException] = None
         self._free_slots = set(range(slots))
         self._outstanding: Dict[int, _Task] = {}
         self._claims: Dict[int, int] = {}
@@ -200,9 +160,7 @@ class WorkerPool:
         #: Last generation each worker confirmed (via its "ready" boot
         #: message or a "reloaded" acknowledgement).
         self._reload_acks: Dict[int, int] = {}
-        self._dispatch_paused = False
         self._pending_chaos: Optional[str] = None
-        self._dispatcher: Optional[threading.Thread] = None
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
 
@@ -226,21 +184,15 @@ class WorkerPool:
         with self._lock:
             return self._restarts
 
-    @property
-    def is_running(self) -> bool:
-        return self._dispatcher is not None and self._dispatcher.is_alive()
-
     def describe(self) -> Dict[str, object]:
         with self._lock:
             return {
-                "kind": "worker_pool",
+                **super().describe(),
                 "num_workers": sum(1 for p in self._workers.values() if p.is_alive()),
                 "requested_workers": self.num_workers_requested,
                 "restarts": self._restarts,
                 "monitors": list(self.bundle.monitor_names),
                 "ring_slots": self._ring.slots,
-                "max_batch": self.policy.max_batch,
-                "max_latency": self.policy.max_latency,
                 "generation": int(self._generation.value),
             }
 
@@ -251,6 +203,7 @@ class WorkerPool:
         """Start one worker process (caller holds the pool lock)."""
         worker_id = self._next_worker_id
         self._next_worker_id += 1
+        reader, writer = self._ctx.Pipe(duplex=False)
         config = WorkerConfig(
             bundle_dir=str(self.bundle.directory),
             ring_name=self._ring.name,
@@ -261,7 +214,7 @@ class WorkerPool:
         )
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, config, self._task_queue, self._result_queue),
+            args=(worker_id, config, self._task_queue, writer),
             name=f"repro-scoring-worker-{worker_id}",
             daemon=True,
         )
@@ -280,67 +233,25 @@ class WorkerPool:
                     os.environ.pop(key, None)
                 else:
                     os.environ[key] = value
+            # The child holds its own copy; with ours closed, the pipe
+            # reaches end of file exactly when the worker exits.
+            writer.close()
         self._workers[worker_id] = process
+        self._results[worker_id] = reader
 
-    def start(self) -> "WorkerPool":
-        """Spawn the workers and the dispatcher/collector threads."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("cannot restart a closed worker pool")
-            if self._dispatcher is not None and self._dispatcher.is_alive():
-                return self
-            for _ in range(self.num_workers_requested):
-                self._spawn_worker()
-            self._collector_stop.clear()
-            self._collector = threading.Thread(
-                target=self._collect_loop, name="repro-pool-collector", daemon=True
-            )
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="repro-pool-dispatcher", daemon=True
-            )
-            self._collector.start()
-            self._dispatcher.start()
-        return self
+    def _start_executor(self) -> None:
+        for _ in range(self.num_workers_requested):
+            self._spawn_worker()
+        self._collector_stop.clear()
+        self._collector = threading.Thread(
+            target=self._collect_loop, name="repro-pool-collector", daemon=True
+        )
+        self._collector.start()
 
-    def __enter__(self) -> "WorkerPool":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting frames, shut workers down, release the ring.
-
-        ``drain=True`` scores everything already accepted (queued and
-        in-flight) before the workers exit; ``drain=False`` cancels queued
-        frames (in-flight batches still resolve).  Blocks until every
-        worker process has been joined — after ``close`` returns there are
-        no child processes left (asserted by the CI end-to-end leg via
-        ``multiprocessing.active_children()``).
-        """
-        to_cancel: List[FrameRequest] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._draining = drain
-            if not drain:
-                for batch in self._batcher.drain():
-                    to_cancel.extend(batch)
-            self._wakeup.notify_all()
-        cancelled = sum(1 for request in to_cancel if request.future.cancel())
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
+    def _shutdown(self, drain: bool, timeout: Optional[float]) -> None:
         # Everything dispatched resolves through the collector; wait for it.
-        deadline = None if timeout is None else self._clock() + timeout
+        self.quiesce(timeout)
         with self._lock:
-            while self._outstanding and self._broken is None:
-                remaining = None if deadline is None else deadline - self._clock()
-                if remaining is not None and remaining <= 0:
-                    break
-                self._wakeup.wait(0.05 if remaining is None else min(0.05, remaining))
             self._stopping = True
             workers = list(self._workers.values())
         for _ in workers:
@@ -352,75 +263,24 @@ class WorkerPool:
                 process.join(5.0)
         self._collector_stop.set()
         if self._collector is not None:
+            # The collector closes the result pipes itself on its way out,
+            # so a join that times out leaves it nothing closed underneath.
             self._collector.join(timeout)
         with self._lock:
             self._workers.clear()
-        # The queues' feeder threads must not block interpreter exit.
-        for q in (self._task_queue, self._result_queue):
-            q.cancel_join_thread()
-            q.close()
+        # The task queue's feeder thread must not block interpreter exit.
+        self._task_queue.cancel_join_thread()
+        self._task_queue.close()
         self._ring.close()
         self._ring.unlink()
         _LOG.info("pool closed (drain=%s, restarts=%d)", drain, self._restarts)
 
-    # ------------------------------------------------------------------
-    # submission (mirrors StreamingScorer's front-end contract)
-    # ------------------------------------------------------------------
-    def _coerce_frames(self, frames: np.ndarray, expect_many: bool) -> np.ndarray:
-        frames = np.array(frames, dtype=np.float64, copy=True)
-        if frames.ndim == 1 and not expect_many:
-            frames = frames[None, :]
-        frames = np.atleast_2d(frames)
-        if frames.ndim != 2:
-            raise ShapeError(
-                f"expected a frame vector or (N, d) burst, got shape {frames.shape}"
-            )
-        if frames.shape[0] and frames.shape[1] != self.bundle.input_dim:
-            raise ShapeError(
-                f"frame width {frames.shape[1]} does not match the deployment's "
-                f"input dimension {self.bundle.input_dim}"
-            )
-        return frames
-
-    def submit(self, frame: np.ndarray) -> "object":
-        """Queue one frame; returns the future of its FrameResult."""
-        frames = self._coerce_frames(frame, expect_many=False)
-        if frames.shape[0] != 1:
-            raise ShapeError("submit() takes exactly one frame; use submit_many")
-        return self._submit_coerced(frames)[0]
-
-    def submit_many(self, frames: np.ndarray) -> List["object"]:
-        """Queue a burst under one lock acquisition; one future per row."""
-        return self._submit_coerced(self._coerce_frames(frames, expect_many=True))
-
-    def _submit_coerced(self, frames: np.ndarray) -> List["object"]:
-        now = self._clock()
-        requests = [FrameRequest(frame=row, enqueued_at=now) for row in frames]
-        with self._lock:
-            if self._broken is not None:
-                raise WorkerCrashError(
-                    f"the worker pool is broken: {self._broken}"
-                ) from self._broken
-            if self._closed:
-                raise ServiceClosedError(
-                    "the worker pool is closed and no longer accepts frames"
-                )
-            if self._dispatcher is None or not self._dispatcher.is_alive():
-                raise ServiceClosedError(
-                    "the worker pool is not running; call start() first"
-                )
-            if requests and self._batcher.would_overflow(len(requests)):
-                raise ServiceOverloadedError(
-                    f"enqueueing {len(requests)} frame(s) would exceed "
-                    f"max_pending={self.policy.max_pending}; shed load or widen "
-                    "the policy"
-                )
-            for request in requests:
-                self._batcher.append(request)
-            if requests:
-                self._wakeup.notify_all()
-        self.stats.record_submitted(len(requests))
-        return [request.future for request in requests]
+    def _handed_off(self):
+        return super()._handed_off() + [
+            request.future
+            for task in self._outstanding.values()
+            for request in task.requests
+        ]
 
     # ------------------------------------------------------------------
     # lifecycle: artefact swap + generation-gated worker reload
@@ -432,11 +292,14 @@ class WorkerPool:
 
         1. **pause** dispatch (frames keep queueing in FIFO order);
         2. **drain** every outstanding batch — in-flight work resolves
-           against the old generation before anything changes;
+           against the old generation before anything changes, including
+           a batch re-queued to a crash replacement, which boots from the
+           not-yet-swapped artefacts;
         3. **swap** the bundle artefacts named by ``swap`` (a
            ``{name: path-or-monitor}`` mapping handed to
            :func:`~repro.serving.artifacts.update_monitor_artifact`, each
-           an atomic ``os.replace``);
+           an atomic ``os.replace``; pass stored archives, so the pause
+           holds a file copy rather than a serialisation);
         4. **bump** the shared generation counter and wait until every
            live worker acknowledged it (idle workers notice within their
            queue-poll interval; workers spawned mid-reload — e.g. crash
@@ -455,29 +318,18 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("cannot reload a closed worker pool")
-            if self._broken is not None:
-                raise WorkerCrashError(
-                    f"the worker pool is broken: {self._broken}"
-                ) from self._broken
-            if self._dispatch_paused:
+            self._raise_if_broken()
+            if self._paused:
                 raise ConfigurationError("a reload is already in progress")
-            self._dispatch_paused = True
+            self._paused = True
+            dispatched = self._handed_off()
         try:
+            if futures_wait(dispatched, timeout).not_done:
+                return False
             with self._lock:
-                while self._outstanding and self._broken is None:
-                    remaining = deadline - self._clock()
-                    if remaining <= 0:
-                        return False
-                    self._wakeup.wait(min(0.05, remaining))
-                if self._broken is not None:
-                    raise WorkerCrashError(
-                        f"the worker pool is broken: {self._broken}"
-                    ) from self._broken
-            if swap:
-                from .artifacts import update_monitor_artifact
-
-                for name, source in dict(swap).items():
-                    update_monitor_artifact(self.bundle, name, source)
+                self._raise_if_broken()
+            for name, source in dict(swap or {}).items():
+                update_monitor_artifact(self.bundle, name, source)
             with self._generation.get_lock():
                 self._generation.value += 1
                 target = int(self._generation.value)
@@ -505,8 +357,45 @@ class WorkerPool:
                 return False
         finally:
             with self._lock:
-                self._dispatch_paused = False
+                self._paused = False
                 self._wakeup.notify_all()
+
+    def deploy(self, name: str, monitor, version: Optional[int] = None) -> None:
+        """First go-live of ``name`` (lifecycle): nothing to swap.
+
+        The workers already serve ``name`` from the bundle they booted
+        from; a pool cannot grow names mid-flight.
+        """
+        if name not in self.monitor_names:
+            raise LifecycleStateError(
+                f"cannot deploy new name '{name}' on a worker pool; the "
+                "bundle the workers booted from does not serve it"
+            )
+
+    def swap(
+        self,
+        name: str,
+        monitor,
+        version: Optional[int] = None,
+        timeout: float = 10.0,
+        artifact=None,
+    ) -> None:
+        """Serve ``monitor`` under ``name`` from the next dispatch on (lifecycle).
+
+        The workers load the archive ``artifact`` when given (the stored
+        bytes of ``monitor``, copied as they are), else ``monitor``
+        serialised.  The artefact swap runs inside :meth:`reload_workers`,
+        after its pause and drain, so no batch dispatched before the call —
+        nor its re-queue after a worker crash — scores against the new
+        artefact.
+        """
+        source = monitor if artifact is None else artifact
+        if not self.reload_workers(swap={name: source}, timeout=timeout):
+            raise LifecycleStateError(
+                f"worker pool failed to reload within {timeout}s while "
+                f"swapping in '{name}' v{version}"
+            )
+        self.stats.record_event("promote", name, version=version)
 
     # ------------------------------------------------------------------
     # chaos hook (tests): make the next dispatched batch kill its worker
@@ -520,67 +409,25 @@ class WorkerPool:
             self._pending_chaos = CHAOS_EXIT_AFTER_CLAIM
 
     # ------------------------------------------------------------------
-    # dispatcher
+    # executor: ring write + task queue
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while True:
-                    if self._broken is not None:
-                        return
-                    if self._closed and (
-                        not self._draining or len(self._batcher) == 0
-                    ):
-                        return
-                    if self._dispatch_paused and not self._closed:
-                        # A lifecycle promotion is in flight: frames keep
-                        # queueing (FIFO), nothing dispatches until the
-                        # workers acknowledge the new generation.
-                        self._wakeup.wait(0.05)
-                        continue
-                    now = self._clock()
-                    if len(self._batcher) and (self._closed or self._batcher.ready(now)):
-                        break
-                    deadline = self._batcher.deadline()
-                    wait = None if deadline is None else max(0.0, deadline - now)
-                    self._wakeup.wait(wait)
-                reason = "drain" if self._closed else self._batcher.flush_reason(
-                    self._clock()
-                )
-                batch = self._batcher.take()
-            self._dispatch_batch(batch, reason)
-
-    def _dispatch_batch(self, batch: List[FrameRequest], reason: str) -> None:
-        requests = [
-            request
-            for request in batch
-            if request.future.set_running_or_notify_cancel()
-        ]
-        cancelled = len(batch) - len(requests)
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if not requests:
-            return
+    def _execute(self, requests: List[FrameRequest], reason: str) -> None:
         with self._lock:
             while not self._free_slots and self._broken is None:
                 self._wakeup.wait(0.05)
-            if self._broken is not None:
-                failed = requests
-            else:
-                failed = None
+            broken = self._broken
+            if broken is None:
                 slot = self._free_slots.pop()
                 task_id = self._next_task_id
                 self._next_task_id += 1
                 chaos = self._pending_chaos
                 self._pending_chaos = None
-                task = _Task(requests, slot, len(requests), reason, self._clock())
+                task = _Task(requests, slot, reason)
                 self._outstanding[task_id] = task
-        if failed is not None:
-            exc = WorkerCrashError(f"the worker pool is broken: {self._broken}")
-            for request in failed:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            self.stats.record_batch(len(failed), reason, (), failed=True)
+        if broken is not None:
+            self._fail(
+                requests, reason, WorkerCrashError(f"the worker pool is broken: {broken}")
+            )
             return
         frames = np.vstack([request.frame for request in requests])
         self._ring.write(slot, frames)
@@ -591,175 +438,172 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _collect_loop(self) -> None:
         while True:
-            try:
-                message = self._result_queue.get(timeout=0.1)
-            except queue_module.Empty:
+            with self._lock:
+                readers = {conn: worker_id for worker_id, conn in self._results.items()}
+            ready = connection_wait(list(readers), timeout=0.1) if readers else ()
+            if not ready:
                 self._check_workers()
                 if self._collector_stop.is_set():
                     with self._lock:
                         if not self._outstanding:
-                            return
+                            break
+                if not readers:
+                    self._collector_stop.wait(0.1)
                 continue
-            kind = message[0]
-            if kind == "ready":
-                _, worker_id, pid, names, generation = message
-                with self._lock:
-                    # The boot generation is an implicit reload ack: a worker
-                    # spawned after an artefact swap loaded the new files.
-                    self._reload_acks[worker_id] = int(generation)
-                    self._wakeup.notify_all()
-                _LOG.info("worker %d ready (pid=%d, monitors=%s)", worker_id, pid, names)
-            elif kind == "reloaded":
-                _, worker_id, generation = message
-                with self._lock:
-                    self._reload_acks[worker_id] = max(
-                        self._reload_acks.get(worker_id, 0), int(generation)
-                    )
-                    self._wakeup.notify_all()
-                _LOG.info("worker %d reloaded (generation=%d)", worker_id, generation)
-            elif kind == "claim":
-                _, task_id, worker_id = message
-                requeue = None
-                with self._lock:
-                    if task_id in self._outstanding:
+            for conn in ready:
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # The worker exited and everything it sent has been
+                    # read; the reap re-queues what it claimed and left.
+                    worker_id = readers[conn]
+                    with self._lock:
+                        self._results.pop(worker_id, None)
                         process = self._workers.get(worker_id)
-                        if process is not None and process.is_alive():
-                            self._claims[task_id] = worker_id
-                        else:
-                            # The claimer died (and may already be reaped)
-                            # before we read its claim: re-queue here, since
-                            # the reap path can no longer see the claim.
-                            task = self._outstanding[task_id]
-                            requeue = ("batch", task_id, task.slot, task.nrows, None)
-                if requeue is not None:
-                    self._task_queue.put(requeue)
-            elif kind == "done":
-                _, task_id, worker_id, packed = message
-                self._resolve_task(task_id, packed=packed)
-            elif kind == "fail":
-                _, task_id, worker_id, description = message
-                self._resolve_task(task_id, error=RemoteScoringError(description))
+                    conn.close()
+                    if process is not None:
+                        process.join(5.0)
+                    self._check_workers()
+                    continue
+                self._handle(message)
+        with self._lock:
+            readers = list(self._results.values())
+            self._results.clear()
+        for conn in readers:
+            conn.close()
+
+    def _handle(self, message) -> None:
+        """Apply one worker message (collector thread)."""
+        kind = message[0]
+        if kind == "ready":
+            _, worker_id, pid, names, generation = message
+            with self._lock:
+                # The boot generation is an implicit reload ack: a worker
+                # spawned after an artefact swap loaded the new files.
+                self._reload_acks[worker_id] = int(generation)
+                self._wakeup.notify_all()
+            _LOG.info("worker %d ready (pid=%d, monitors=%s)", worker_id, pid, names)
+        elif kind == "reloaded":
+            _, worker_id, generation = message
+            with self._lock:
+                self._reload_acks[worker_id] = max(
+                    self._reload_acks.get(worker_id, 0), int(generation)
+                )
+                self._wakeup.notify_all()
+            _LOG.info("worker %d reloaded (generation=%d)", worker_id, generation)
+        elif kind == "claim":
+            # A claimer is reaped only after its pipe is read to the end, so
+            # every claim arrives while its claimer is still on the books.
+            _, task_id, worker_id = message
+            with self._lock:
+                if task_id in self._outstanding:
+                    self._claims[task_id] = worker_id
+        elif kind == "done":
+            _, task_id, worker_id, packed = message
+            self._resolve_task(task_id, packed=packed)
+        elif kind == "fail":
+            _, task_id, worker_id, description = message
+            self._resolve_task(task_id, error=RemoteScoringError(description))
 
     def _resolve_task(self, task_id, packed=None, error=None) -> None:
+        # Only this (collector) thread removes tasks, so the task stays in
+        # _outstanding, visible to quiesce() and reload_workers(), until its
+        # futures are settled; its ring slot is free as soon as it answered.
         with self._lock:
-            task = self._outstanding.pop(task_id, None)
-            self._claims.pop(task_id, None)
+            task = self._outstanding.get(task_id)
             if task is not None:
+                self._claims.pop(task_id, None)
                 self._free_slots.add(task.slot)
-            self._wakeup.notify_all()
+                self._wakeup.notify_all()
         if task is None:  # late duplicate after a re-queue race
             return
         if error is not None:
-            for request in task.requests:
-                if not request.future.done():
-                    request.future.set_exception(error)
-            self.stats.record_batch(len(task.requests), task.reason, (), failed=True)
-            return
-        warns = {
-            name: np.frombuffer(raw, dtype=np.uint8).astype(bool)
-            for name, raw in packed.items()
-        }
-        done = self._clock()
-        latencies = []
-        for row, request in enumerate(task.requests):
-            result = FrameResult(
-                warns={name: bool(flags[row]) for name, flags in warns.items()}
-            )
-            request.future.set_result(result)
-            latencies.append(done - request.enqueued_at)
-        self.stats.record_batch(len(task.requests), task.reason, latencies, failed=False)
+            self._fail(task.requests, task.reason, error)
+        else:
+            warns = {
+                name: np.frombuffer(raw, dtype=np.uint8) for name, raw in packed.items()
+            }
+            self._resolve(task.requests, task.reason, warns)
+        with self._lock:
+            del self._outstanding[task_id]
 
     def _check_workers(self) -> None:
-        """Reap dead workers: re-queue their claimed tasks, spawn spares."""
-        dead: List[int] = []
+        """Reap dead workers: re-queue the batches they held, spawn spares."""
         with self._lock:
             if self._stopping:
                 return
-            for worker_id, process in list(self._workers.items()):
-                if not process.is_alive():
-                    dead.append(worker_id)
-            requeue: List[tuple] = []
-            requeued_ids = set()
+            dead = [
+                worker_id
+                for worker_id, process in self._workers.items()
+                if not process.is_alive()
+            ]
+            unread = [self._results.pop(worker_id, None) for worker_id in dead]
+        if not dead:
+            return
+        # What a dead worker sent is still in its pipe: apply it first, so
+        # the reap below knows every claim and answer it made.
+        for conn in filter(None, unread):
+            try:
+                while conn.poll():
+                    self._handle(conn.recv())
+            except (EOFError, OSError):
+                pass
+            conn.close()
+        with self._lock:
+            if self._stopping:
+                return
             for worker_id in dead:
                 process = self._workers.pop(worker_id)
                 process.join()
-                lost = [
-                    task_id
-                    for task_id, claimer in self._claims.items()
-                    if claimer == worker_id
-                ]
-                for task_id in lost:
-                    del self._claims[task_id]
-                    task = self._outstanding[task_id]
-                    # The slot still holds the frames; re-dispatch the same
-                    # coordinates with any chaos marker stripped.
-                    requeue.append(("batch", task_id, task.slot, task.nrows, None))
-                    requeued_ids.add(task_id)
-                _LOG.warning(
-                    "worker %d died (exitcode=%s); re-queued %d claimed batch(es)",
-                    worker_id,
-                    process.exitcode,
-                    len(lost),
-                )
-            if dead:
-                # A worker that dies between consuming a task and its claim
-                # reaching us leaves the task outstanding but unclaimed — an
-                # abrupt exit can drop the result queue's feeder buffer, so
-                # the claim itself is not a delivery guarantee.  We cannot
-                # tell which consumer died, so re-queue every unclaimed
-                # outstanding task; if a live worker had it after all, the
-                # duplicate is scored twice and the second "done" is ignored.
-                unclaimed = [
-                    (task_id, task)
-                    for task_id, task in self._outstanding.items()
-                    if task_id not in self._claims and task_id not in requeued_ids
-                ]
-                for task_id, task in unclaimed:
-                    requeue.append(("batch", task_id, task.slot, task.nrows, None))
-                if unclaimed:
-                    _LOG.warning(
-                        "re-queued %d unclaimed in-flight batch(es)", len(unclaimed)
-                    )
+                _LOG.warning("worker %d died (exitcode=%s)", worker_id, process.exitcode)
+            # Re-dispatch the same slot coordinates, chaos marker stripped,
+            # of every batch a dead worker claimed — and of every unclaimed
+            # one: a worker killed between taking a task off the queue and
+            # writing its claim leaves no trace of which consumer had it.
+            # If a live worker had it after all, the duplicate is scored
+            # twice and the second "done" is ignored.
+            gone = set(dead) | {None}
+            requeue = []
+            for task_id, task in self._outstanding.items():
+                if self._claims.get(task_id) in gone:
+                    self._claims.pop(task_id, None)
+                    requeue.append(("batch", task_id, task.slot, len(task.requests), None))
+            if requeue:
+                _LOG.warning("re-queued %d in-flight batch(es)", len(requeue))
             replacements = 0
-            if dead and not self._closed:
-                while (
-                    len(self._workers) < self.num_workers_requested
-                    and self._restarts < self.max_restarts
-                ):
-                    self._spawn_worker()
-                    self._restarts += 1
-                    replacements += 1
-            if dead and not self._workers and replacements == 0:
+            while (
+                not self._closed
+                and len(self._workers) < self.num_workers_requested
+                and self._restarts < self.max_restarts
+            ):
+                self._spawn_worker()
+                self._restarts += 1
+                replacements += 1
+            broken = doomed = None
+            if not self._workers:
                 # Restart budget exhausted with nobody left to score.
-                self._broken = WorkerCrashError(
+                broken = self._broken = WorkerCrashError(
                     f"all workers died and the restart budget ({self.max_restarts}) "
                     "is exhausted"
                 )
-                broken = self._broken
-                doomed = list(self._outstanding.values())
-                self._outstanding.clear()
+                # Settled before they leave _outstanding and the queue, so
+                # quiesce() never misses them (the flush thread has stopped
+                # and admission raises, so the queue only shrinks).
+                doomed = dict(self._outstanding)
                 self._claims.clear()
-                for task in doomed:
-                    self._free_slots.add(task.slot)
-                pending: List[FrameRequest] = []
-                for batch in self._batcher.drain():
-                    pending.extend(batch)
+                self._free_slots.update(task.slot for task in doomed.values())
+                pending = list(self._batcher)
                 self._wakeup.notify_all()
-            else:
-                broken = None
-                doomed = []
-                pending = []
         for item in requeue:
             self._task_queue.put(item)
         if replacements:
             _LOG.warning("spawned %d replacement worker(s)", replacements)
         if broken is not None:
-            for task in doomed:
-                for request in task.requests:
-                    if not request.future.done():
-                        request.future.set_exception(broken)
-                self.stats.record_batch(len(task.requests), task.reason, (), failed=True)
-            cancelled = sum(1 for request in pending if request.future.cancel())
-            if cancelled:
-                self.stats.record_cancelled(cancelled)
+            for task in doomed.values():
+                self._fail(task.requests, task.reason, broken)
+            self._cancel(pending)
+            with self._lock:
+                for task_id in doomed:
+                    del self._outstanding[task_id]
+                self._batcher.drain()
             _LOG.error("pool broken: %s", broken)

@@ -1,9 +1,9 @@
 """TCP front-end: the scoring service's network face.
 
 :class:`ScoringServer` puts the length-prefixed protocol of
-:mod:`repro.serving.protocol` in front of any scorer exposing the streaming
-submit surface (``submit_many`` → futures) — an in-process
-:class:`~repro.service.StreamingScorer` or an out-of-process
+:mod:`repro.serving.protocol` in front of a
+:class:`~repro.service.FrontEnd` (``submit_many`` → futures) — an
+in-process :class:`~repro.service.StreamingScorer` or an out-of-process
 :class:`~repro.serving.pool.WorkerPool`.  Built on
 :class:`socketserver.ThreadingTCPServer`: one daemon thread per connection
 reads frames incrementally, SCORE requests go straight into the scorer, and
@@ -120,7 +120,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         """Lifecycle control frames, answered with one LIFECYCLE_REPLY.
 
         The handlers run on the connection thread: promotion quiesces the
-        scorer (or drains a worker pool), which must not block the scoring
+        front-end, which must not block the scoring
         path — and does not, since scoring responses are written by future
         done-callbacks, not by this thread.
         """
@@ -219,8 +219,9 @@ class ScoringServer:
     Parameters
     ----------
     scorer:
-        Any object with the streaming submit surface (``submit_many`` →
-        per-frame futures, ``stats.snapshot()``, ``close(drain=...)``).
+        The :class:`~repro.service.FrontEnd` to serve (``submit_many`` →
+        per-frame futures, ``stats.snapshot()``, ``describe()``,
+        ``close(drain=...)``).
     host / port:
         Bind address; port ``0`` picks a free ephemeral port (read it back
         from :attr:`address`).
@@ -295,9 +296,7 @@ class ScoringServer:
         snapshot = dict(self.scorer.stats.snapshot())
         snapshot["server_requests"] = self._served_requests
         snapshot["server_frames"] = self._served_frames
-        describe = getattr(self.scorer, "describe", None)
-        if callable(describe):
-            snapshot["scorer"] = describe()
+        snapshot["scorer"] = self.scorer.describe()
         if self.lifecycle is not None:
             snapshot["lifecycle"] = self.lifecycle.status()
         return snapshot

@@ -5,10 +5,10 @@ scorer past the GIL.  On boot it reconstructs the deployment from its
 bundle (network + format-2 monitor artefacts, the same files every sibling
 loads, so all workers score bit-identical verdicts), builds a private
 :class:`~repro.runtime.engine.BatchScoringEngine`, and then loops on the
-pool's shared dispatch queue:
+pool's shared dispatch queue and answers on its own result pipe:
 
 1. ``("batch", task_id, slot, nrows, chaos)`` — *claim* the task on the
-   result queue (the dispatcher uses claims to re-queue in-flight work if
+   result pipe (the dispatcher uses claims to re-queue in-flight work if
    this process dies), read the frames out of the shared-memory ring slot,
    score them through one engine pass over every monitor, and reply
    ``("done", ...)`` with the packed per-monitor warn vectors;
@@ -26,6 +26,10 @@ mixture of old- and new-generation workers.
 
 A scoring exception answers ``("fail", ...)`` and the worker lives on; only
 process death (crash, OOM, kill) is handled by the dispatcher's supervision.
+The result pipe belongs to this worker alone and every message is written
+synchronously, with no feeder thread and no lock shared with a sibling: a
+worker that dies at any instant takes nothing with it but its own pipe,
+whose end of file tells the dispatcher it is gone.
 The ``chaos`` field exists for the crash-recovery tests: it makes a worker
 die at a precisely awkward moment (after claiming, before scoring), which
 is the exact window the re-queue path must cover.
@@ -71,7 +75,7 @@ def _pack_warns(warns) -> dict:
     }
 
 
-def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) -> None:
+def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_conn) -> None:
     """Process entry point of one scoring worker."""
     from queue import Empty
 
@@ -85,14 +89,16 @@ def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) 
         return 0 if config.generation is None else int(config.generation.value)
 
     try:
+        # The generation is read *before* the artefacts: booting mid-swap at
+        # worst re-loads identical files on the next bump check, whereas a
+        # generation read after them could claim a swap the loaded files
+        # predate.
+        loaded_generation = current_generation()
         bundle = DeploymentBundle(config.bundle_dir)
         network = bundle.load_network()
         monitors = bundle.load_monitors(network)
         engine = BatchScoringEngine(network)
-        # The generation is read *after* the artefacts: booting mid-swap at
-        # worst re-loads identical files on the next bump check.
-        loaded_generation = current_generation()
-        result_queue.put(
+        result_conn.send(
             ("ready", worker_id, os.getpid(), tuple(monitors), loaded_generation)
         )
         while True:
@@ -106,7 +112,7 @@ def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) 
                     bundle = DeploymentBundle(config.bundle_dir)
                     monitors = bundle.load_monitors(network)
                     loaded_generation = generation
-                    result_queue.put(("reloaded", worker_id, generation))
+                    result_conn.send(("reloaded", worker_id, generation))
                 continue
             kind = message[0]
             if kind == "stop":
@@ -116,7 +122,7 @@ def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) 
             _, task_id, slot, nrows, chaos = message
             # The claim must precede any work: it is the dispatcher's only
             # way to know this batch dies with this process.
-            result_queue.put(("claim", task_id, worker_id))
+            result_conn.send(("claim", task_id, worker_id))
             if chaos == CHAOS_EXIT_AFTER_CLAIM:
                 # Simulated crash for the recovery tests: no cleanup, no
                 # goodbye — exactly what a segfault or OOM kill looks like.
@@ -126,10 +132,11 @@ def worker_main(worker_id: int, config: WorkerConfig, task_queue, result_queue) 
                 # Micro-batches are one-shot content; skip the activation
                 # cache exactly like the in-process streaming worker does.
                 score = engine.score_batch(monitors, frames, use_cache=False)
-                result_queue.put(("done", task_id, worker_id, _pack_warns(score.warns)))
+                result_conn.send(("done", task_id, worker_id, _pack_warns(score.warns)))
             except BaseException as exc:
-                result_queue.put(
+                result_conn.send(
                     ("fail", task_id, worker_id, f"{type(exc).__name__}: {exc}")
                 )
     finally:
+        result_conn.close()
         ring.close()

@@ -8,6 +8,7 @@ over TCP.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +158,65 @@ class TestPoolPromotion:
     def test_pool_front_end_rejects_shadow_staging(self, pool_manager, candidate_monitor):
         with pytest.raises(LifecycleStateError):
             pool_manager.stage("mon", candidate_monitor, shadow=True)
+
+
+@pytest.fixture
+def one_worker(pool_deployment, tmp_path, tiny_network, live_monitor):
+    """Factory: a started 1-worker pool plus a manager with v1 deployed."""
+    pools = []
+
+    def start(policy):
+        pool = WorkerPool(pool_deployment, num_workers=1, policy=policy).start()
+        pools.append(pool)
+        store = MonitorStore(tmp_path / "store")
+        manager = LifecycleManager(pool, store, network=tiny_network)
+        manager.deploy("mon", live_monitor)
+        return pool, manager
+
+    yield start
+    for pool in pools:
+        pool.close(drain=False, timeout=60)
+
+
+class TestPoolPromotionBoundary:
+    """Frames submitted before ``promote`` score the old version on a pool.
+
+    One worker, so there is no sibling to absorb a crashed batch: its
+    re-queue waits for the replacement process, which boots from whatever
+    the bundle holds at that moment.
+    """
+
+    def test_crashed_dispatched_batch_scores_the_old_version(
+        self, one_worker, live_monitor, candidate_monitor, probe_frames
+    ):
+        pool, manager = one_worker(
+            BatchPolicy(max_batch=len(probe_frames), max_latency=0.002)
+        )
+        manager.stage("mon", candidate_monitor, shadow=False)
+        pool.inject_worker_crash()
+        futures = pool.submit_many(probe_frames)  # one full batch: dispatched
+        deadline = time.monotonic() + 30.0
+        while not pool._outstanding and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert pool._outstanding or all(f.done() for f in futures)
+        assert manager.promote("mon", guard=False, timeout=120.0) == 2
+        served = [f.result(120).warns["mon"] for f in futures]
+        assert served == live_monitor.warn_batch(probe_frames).tolist()
+        assert pool.restarts == 1
+        after = [f.result(120).warns["mon"] for f in pool.submit_many(probe_frames)]
+        assert after == candidate_monitor.warn_batch(probe_frames).tolist()
+
+    def test_held_partial_batch_scores_the_old_version(
+        self, one_worker, live_monitor, candidate_monitor, probe_frames
+    ):
+        # A latency bound far above the test's lifetime: only the promotion
+        # barrier can flush the partial batch before the swap.
+        pool, manager = one_worker(BatchPolicy(max_batch=64, max_latency=60.0))
+        manager.stage("mon", candidate_monitor, shadow=False)
+        futures = pool.submit_many(probe_frames[:10])
+        assert manager.promote("mon", guard=False, timeout=60.0) == 2
+        served = [f.result(30).warns["mon"] for f in futures]
+        assert served == live_monitor.warn_batch(probe_frames[:10]).tolist()
 
 
 class TestWireLifecycleControl:

@@ -1,13 +1,15 @@
-"""Worker pool tests: adaptive batching (fast) and real process pools (slow).
+"""Worker pool tests: supervision bookkeeping (fast) and real process pools (slow).
 
-The :class:`AdaptiveBatcher` tests are clock-free and run in tier-1.  The
-``slow``-marked classes spawn actual worker processes from the session
+:class:`TestWorkerPoolReap` drives the collector's reap path on a pool that
+was never started, with stand-in process objects, so it runs in tier-1.
+The ``slow``-marked classes spawn actual worker processes from the session
 deployment bundle — verdict bit-parity with the offline monitors, crash
 recovery without frame loss, and fully clean shutdown are the acceptance
 criteria of the CI ``service-e2e`` leg.
 """
 
 import multiprocessing
+import queue
 import time
 
 import numpy as np
@@ -24,61 +26,8 @@ from repro.exceptions import (
 )
 from repro.service import BatchPolicy
 from repro.service.streaming import FrameRequest
-from repro.serving import AdaptiveBatcher, WorkerPool
-
-
-class TestAdaptiveBatcher:
-    def make(self, max_batch=8, max_latency=0.01):
-        return AdaptiveBatcher(BatchPolicy(max_batch=max_batch, max_latency=max_latency))
-
-    def put(self, batcher, count, at=0.0):
-        for _ in range(count):
-            batcher.append(FrameRequest(frame=np.zeros(4), enqueued_at=at))
-
-    def test_empty_queue_has_no_deadline(self):
-        assert self.make().deadline() is None
-
-    def test_single_frame_keeps_almost_full_latency(self):
-        batcher = self.make(max_batch=8, max_latency=0.01)
-        self.put(batcher, 1, at=100.0)
-        # one of eight pending → deadline shrinks by exactly 1/8 of the bound
-        assert batcher.deadline() == pytest.approx(100.0 + 0.01 * (1 - 1 / 8))
-
-    def test_deadline_shrinks_monotonically_with_depth(self):
-        batcher = self.make(max_batch=8, max_latency=0.01)
-        deadlines = []
-        for _ in range(7):
-            self.put(batcher, 1, at=100.0)
-            deadlines.append(batcher.deadline())
-        assert deadlines == sorted(deadlines, reverse=True)
-
-    def test_full_queue_shrinks_to_zero_extra_wait(self):
-        batcher = self.make(max_batch=4, max_latency=0.01)
-        self.put(batcher, 4, at=100.0)
-        assert batcher.deadline() == pytest.approx(100.0)
-
-    def test_depth_beyond_max_batch_clamps(self):
-        batcher = self.make(max_batch=4, max_latency=0.01)
-        self.put(batcher, 12, at=100.0)
-        assert batcher.deadline() == pytest.approx(100.0)
-
-    def test_flush_reason_size(self):
-        batcher = self.make(max_batch=2)
-        self.put(batcher, 2, at=100.0)
-        assert batcher.flush_reason(100.0) == "size"
-
-    def test_flush_reason_adaptive_before_nominal_deadline(self):
-        batcher = self.make(max_batch=8, max_latency=0.01)
-        self.put(batcher, 4, at=100.0)
-        # adaptive deadline passed, nominal (enqueued_at + max_latency) not
-        now = 100.0 + 0.01 * (1 - 4 / 8) + 1e-6
-        assert batcher.ready(now)
-        assert batcher.flush_reason(now) == "adaptive"
-
-    def test_flush_reason_deadline_after_nominal_deadline(self):
-        batcher = self.make(max_batch=8, max_latency=0.01)
-        self.put(batcher, 1, at=100.0)
-        assert batcher.flush_reason(100.02) == "deadline"
+from repro.serving import WorkerPool
+from repro.serving.pool import _Task
 
 
 def wait_for(predicate, timeout=30.0, interval=0.05):
@@ -88,6 +37,89 @@ def wait_for(predicate, timeout=30.0, interval=0.05):
             return True
         time.sleep(interval)
     return predicate()
+
+
+class _StandInProcess:
+    """A worker process as the reaper sees it: alive or exited."""
+
+    def __init__(self, alive):
+        self.alive = alive
+        self.exitcode = None if alive else -9
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestWorkerPoolReap:
+    """Reaping a dead worker re-queues exactly the batches it left behind."""
+
+    @pytest.fixture
+    def pool(self, deployment_bundle):
+        # Never started: no flush thread, collector or worker processes, and
+        # no restart budget, so a reap spawns nothing.
+        pool = WorkerPool(deployment_bundle, num_workers=1, max_restarts=0)
+        yield pool
+        pool._outstanding.clear()
+        pool._workers.clear()
+        pool.close()
+
+    def task(self, pool, task_id, slot, rows=3):
+        requests = [
+            FrameRequest(frame=np.zeros(6), enqueued_at=0.0) for _ in range(rows)
+        ]
+        pool._outstanding[task_id] = _Task(requests, slot, "size")
+        return [request.future for request in requests]
+
+    def test_unclaimed_task_of_a_dead_worker_is_requeued(self, pool):
+        # A worker killed between taking a task and writing its claim.
+        # Task 9 is held by the live worker and stays with it.
+        pool._workers.update({0: _StandInProcess(False), 1: _StandInProcess(True)})
+        self.task(pool, 7, slot=1)
+        self.task(pool, 9, slot=2)
+        pool._claims[9] = 1
+        pool._check_workers()
+        assert pool._task_queue.get(timeout=10) == ("batch", 7, 1, 3, None)
+        with pytest.raises(queue.Empty):
+            pool._task_queue.get(timeout=0.5)
+        assert pool._claims == {9: 1}
+        assert list(pool._workers) == [1]
+        assert pool._broken is None
+
+    def test_dead_workers_pipe_is_read_before_the_reap(self, pool):
+        # The worker answered task 8 and claimed task 7, then died before
+        # the collector read either message.
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.send(("done", 8, 0, {"minmax": bytes([1, 0, 1])}))
+        writer.send(("claim", 7, 0))
+        writer.close()
+        pool._workers.update({0: _StandInProcess(False), 1: _StandInProcess(True)})
+        pool._results[0] = reader
+        claimed = self.task(pool, 7, slot=0)
+        answered = self.task(pool, 8, slot=1)
+        pool._check_workers()
+        assert [f.result(0).warns["minmax"] for f in answered] == [True, False, True]
+        assert pool._task_queue.get(timeout=10) == ("batch", 7, 0, 3, None)
+        with pytest.raises(queue.Empty):
+            pool._task_queue.get(timeout=0.5)
+        assert not any(f.done() for f in claimed)
+        assert 0 not in pool._results and reader.closed
+
+    def test_last_worker_dead_with_no_budget_fails_everything_it_held(self, pool):
+        pool._workers[0] = _StandInProcess(False)
+        dispatched = self.task(pool, 7, slot=0)
+        queued = FrameRequest(frame=np.zeros(6), enqueued_at=0.0)
+        pool._batcher.append(queued)
+        pool._check_workers()
+        for future in dispatched:
+            with pytest.raises(WorkerCrashError):
+                future.result(0)
+        assert queued.future.cancelled()
+        assert not pool._outstanding and not len(pool._batcher)
+        with pytest.raises(WorkerCrashError):
+            pool.submit_many(np.zeros((1, 6)))
 
 
 @pytest.mark.slow

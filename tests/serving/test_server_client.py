@@ -297,3 +297,44 @@ class TestAsyncClient:
             asyncio.run(run())
         finally:
             listener.close()
+
+    @pytest.mark.parametrize(
+        "frame_type, payload",
+        [(FrameType.RESULT, b"\x00"), (FrameType.SCORE, b"")],
+        ids=["malformed-result", "unexpected-type"],
+    )
+    def test_bad_response_fails_the_request_instead_of_hanging(
+        self, frame_type, payload, probe_frames
+    ):
+        import asyncio
+
+        from repro.serving import AsyncScoringClient
+
+        async def answer(reader, writer):
+            # A fake server: every request is answered with the bad frame.
+            decoder = protocol.FrameDecoder()
+            while True:
+                chunk = await reader.read(65536)
+                if not chunk:
+                    break
+                for frame in decoder.feed(chunk):
+                    writer.write(encode_frame(frame_type, frame.request_id, payload))
+                    await writer.drain()
+            writer.close()
+
+        async def run():
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            address = server.sockets[0].getsockname()[:2]
+            try:
+                async with AsyncScoringClient(address) as client:
+                    with pytest.raises(ProtocolError):
+                        await asyncio.wait_for(client.score(probe_frames), 10)
+                    # The connection survives: the next request is answered.
+                    with pytest.raises(ProtocolError):
+                        await asyncio.wait_for(client.ping(), 10)
+                    assert client._pending == {}
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
