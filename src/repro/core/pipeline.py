@@ -177,7 +177,6 @@ class MonitorPipeline:
         host: str = "127.0.0.1",
         port: int = 0,
         artifact_dir=None,
-        mp_context: str = "spawn",
         log_path=None,
         lifecycle: bool = False,
         **policy_options,
@@ -288,7 +287,6 @@ class MonitorPipeline:
             DeploymentBundle(directory),
             num_workers=num_workers,
             policy=policy,
-            mp_context=mp_context,
         )
         pool.start()
         manager = None

@@ -98,7 +98,7 @@ class RemoteScoringError(ReproError):
 class WorkerCrashError(RemoteScoringError):
     """Raised when a scoring worker process died and its work was lost.
 
-    The pool re-queues frames claimed by a crashed worker, so under normal
+    The pool re-sends the batches a crashed worker held, so under normal
     operation a crash is invisible to producers; this error surfaces only
     when the restart budget is exhausted and accepted frames can no longer
     be scored.

@@ -32,7 +32,7 @@ in-process :class:`~repro.service.StreamingScorer` swaps its registry
 entry; a :class:`~repro.serving.pool.WorkerPool` swaps the bundle artefact
 inside :meth:`~repro.serving.pool.WorkerPool.reload_workers` (pause, drain,
 swap, bump the generation), so a batch dispatched before the promotion —
-even one re-queued after a worker crash — scores the old version.  Shadow
+even one re-sent after a worker crash — scores the old version.  Shadow
 scoring needs the in-process scorer (``shadow_scoring``): a pool's members
 live in other processes and cannot share the engine pass.
 """

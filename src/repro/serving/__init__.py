@@ -9,10 +9,10 @@ package takes the same contract across process and machine boundaries:
   monitor artefacts + manifest, the unit a worker process boots from;
 - :class:`~repro.serving.WorkerPool` — N ``multiprocessing`` workers, each
   with a private :class:`~repro.runtime.engine.BatchScoringEngine`, fed
-  through shared-memory frame slots and one shared dispatch queue; its
+  through shared-memory frame slots and one task pipe per worker; its
   admission and coalescing are the in-process scorer's
   :class:`~repro.service.streaming.FrontEnd` core; crashed workers restart
-  and their in-flight batches are re-queued;
+  and the batches they held are re-sent;
 - :class:`~repro.serving.ScoringServer` / :class:`~repro.serving.ScoringClient`
   — the TCP face and its pipelining clients (blocking and asyncio).
 

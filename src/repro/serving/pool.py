@@ -9,9 +9,9 @@ instead of time-slicing one GIL.  Both are executors of one
 anything that can drive a :class:`~repro.service.StreamingScorer` —
 including the socket server and the lifecycle manager — can drive a pool.
 
-Architecture (one shared dispatch queue, one result pipe per worker)::
+Architecture (one task pipe and one result pipe per worker)::
 
-    producers ──submit──► MicroBatcher ──flush thread──► task queue ──► workers
+    producers ──submit──► MicroBatcher ──flush thread──► task pipes ──► workers
                                 │                │  frames via shared-memory ring
     futures  ◄──collector── result pipes ◄───────┴────────────┘
 
@@ -20,20 +20,22 @@ Architecture (one shared dispatch queue, one result pipe per worker)::
   runs too: the **flush thread** coalesces frames under the pool's
   :class:`~repro.service.BatchPolicy` (flush at ``max_batch`` frames or
   when the oldest frame has waited ``max_latency``); the pool's executor
-  writes each batch into a free shared-memory slot and queues only the
-  slot coordinates;
+  writes each batch into a free shared-memory slot and sends only the slot
+  coordinates down the task pipe of the live worker holding the fewest
+  batches, recording the batch in that worker's *held* list;
 * **workers** (separate processes, each booted from the same deployment
-  bundle) claim tasks from the one shared queue, score, and answer on
-  their own result pipe; every worker loads monitors from the same format-2
-  artefacts, so verdicts are bit-identical across workers *and* to the
-  offline ``warn_batch`` of the monitors the bundle was saved from;
+  bundle) score what their task pipe brings and answer on their own result
+  pipe; every worker loads monitors from the same format-2 artefacts, so
+  verdicts are bit-identical across workers *and* to the offline
+  ``warn_batch`` of the monitors the bundle was saved from;
 * the **collector thread** resolves futures from results, frees ring slots,
-  and supervises liveness: when a worker process dies (its pipe reaches end
-  of file), its *claimed but unanswered* tasks are re-queued to the
-  siblings (the slot still holds the frames) and a replacement is spawned,
-  up to ``max_restarts`` — accepted frames survive a crash without
-  producers noticing.  The pipes are per worker so that a process dying
-  mid-write can hold no lock a sibling's answers need.
+  and supervises liveness: when a worker process dies (its result pipe
+  reaches end of file), the pool reads what it answered, then re-sends
+  exactly the batches it still held, in order, to a sibling or its
+  replacement (the slot still holds the frames), spawning replacements up
+  to ``max_restarts`` — accepted frames survive a crash without producers
+  noticing, and each is scored once.  The pipes are per worker so that a
+  process dying at any instant can hold no lock a sibling needs.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ from ..exceptions import (
     ServiceClosedError,
     WorkerCrashError,
 )
+from ..monitors.fingerprint import monitor_fingerprint
+from ..monitors.serialization import load_monitor
 from ..service.streaming import BatchPolicy, FrameRequest, FrontEnd
 from .artifacts import DeploymentBundle, update_monitor_artifact
 from .ring import SharedFrameRing
-from .worker import CHAOS_EXIT_AFTER_CLAIM, WorkerConfig, worker_main
+from .worker import CHAOS_EXIT_UNSCORED, WorkerConfig, worker_main
 
 __all__ = ["WorkerPool"]
 
@@ -90,19 +94,16 @@ class WorkerPool(FrontEnd):
     policy:
         :class:`~repro.service.BatchPolicy` of the coalescer; ``None`` uses
         ``BatchPolicy(max_batch=64, max_latency=0.005)``.
-    mp_context:
-        ``multiprocessing`` start method (``"spawn"`` by default: immune to
-        fork-vs-threads hazards and identical across platforms).
-    slot_count:
-        Shared-memory ring slots; ``None`` uses ``2 * num_workers`` so every
-        worker can be busy while its next batch is staged.
     max_restarts:
         Crashed-worker replacement budget over the pool's lifetime; once
         exhausted and no worker remains, accepted frames fail with
         :class:`~repro.exceptions.WorkerCrashError`.
-    pin_blas_threads:
-        Export single-thread BLAS knobs to worker processes (recommended:
-        process-level parallelism replaces BLAS thread pools).
+
+    Workers are ``spawn``-started (immune to fork-vs-threads hazards and
+    identical across platforms) with single-thread BLAS, since
+    process-level parallelism replaces BLAS thread pools.  The ring has
+    ``2 * num_workers`` slots, so every worker can be busy while its next
+    batch is staged.
 
     :meth:`close` blocks until every worker process has been joined —
     after it returns there are no child processes left (asserted by the CI
@@ -116,10 +117,7 @@ class WorkerPool(FrontEnd):
         bundle: Union[DeploymentBundle, str, Path],
         num_workers: int = 2,
         policy: Optional[BatchPolicy] = None,
-        mp_context: str = "spawn",
-        slot_count: Optional[int] = None,
         max_restarts: int = 3,
-        pin_blas_threads: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if num_workers < 1:
@@ -136,27 +134,27 @@ class WorkerPool(FrontEnd):
         )
         self.num_workers_requested = int(num_workers)
         self.max_restarts = int(max_restarts)
-        self.pin_blas_threads = bool(pin_blas_threads)
-        self._ctx = multiprocessing.get_context(mp_context)
-        slots = int(slot_count) if slot_count is not None else max(2 * num_workers, 2)
-        if slots < num_workers:
-            raise ConfigurationError("slot_count must be at least num_workers")
+        self._ctx = multiprocessing.get_context("spawn")
+        slots = 2 * self.num_workers_requested
         self._ring = SharedFrameRing(slots, self.policy.max_batch, self.bundle.input_dim)
-        self._task_queue = self._ctx.Queue()
+        #: Write end of each unreaped worker's task pipe, by worker id.
+        self._tasks: Dict[int, multiprocessing.connection.Connection] = {}
         #: Read end of each live worker's result pipe, by worker id.
         self._results: Dict[int, multiprocessing.connection.Connection] = {}
+        #: Ids of the batches sent to each unreaped worker and not yet
+        #: answered, in send order.
+        self._held: Dict[int, List[int]] = {}
 
         self._stopping = False
         self._free_slots = set(range(slots))
         self._outstanding: Dict[int, _Task] = {}
-        self._claims: Dict[int, int] = {}
         self._workers: Dict[int, multiprocessing.process.BaseProcess] = {}
         self._next_task_id = 0
         self._next_worker_id = 0
         self._restarts = 0
-        # Lifecycle generation: bumped by reload_workers() after an artefact
-        # swap; workers poll it between tasks and reload when behind.
-        self._generation = self._ctx.Value("L", 0)
+        #: Lifecycle generation: bumped by reload_workers() after an
+        #: artefact swap.
+        self._generation = 0
         #: Last generation each worker confirmed (via its "ready" boot
         #: message or a "reloaded" acknowledgement).
         self._reload_acks: Dict[int, int] = {}
@@ -193,7 +191,7 @@ class WorkerPool(FrontEnd):
                 "restarts": self._restarts,
                 "monitors": list(self.bundle.monitor_names),
                 "ring_slots": self._ring.slots,
-                "generation": int(self._generation.value),
+                "generation": self._generation,
             }
 
     # ------------------------------------------------------------------
@@ -203,6 +201,7 @@ class WorkerPool(FrontEnd):
         """Start one worker process (caller holds the pool lock)."""
         worker_id = self._next_worker_id
         self._next_worker_id += 1
+        task_reader, task_writer = self._ctx.Pipe(duplex=False)
         reader, writer = self._ctx.Pipe(duplex=False)
         config = WorkerConfig(
             bundle_dir=str(self.bundle.directory),
@@ -214,17 +213,14 @@ class WorkerPool(FrontEnd):
         )
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, config, self._task_queue, writer),
+            args=(worker_id, config, task_reader, writer),
             name=f"repro-scoring-worker-{worker_id}",
             daemon=True,
         )
-        saved = {}
-        if self.pin_blas_threads:
-            # Env is read at numpy import time in the child; restore the
-            # parent's values immediately after the process object exists.
-            for key in _BLAS_ENV:
-                saved[key] = os.environ.get(key)
-                os.environ[key] = "1"
+        # Env is read at numpy import time in the child; restore the
+        # parent's values immediately after the process object exists.
+        saved = {key: os.environ.get(key) for key in _BLAS_ENV}
+        os.environ.update(dict.fromkeys(_BLAS_ENV, "1"))
         try:
             process.start()
         finally:
@@ -233,11 +229,15 @@ class WorkerPool(FrontEnd):
                     os.environ.pop(key, None)
                 else:
                     os.environ[key] = value
-            # The child holds its own copy; with ours closed, the pipe
-            # reaches end of file exactly when the worker exits.
+            # The child holds its own copies; with ours closed, the result
+            # pipe reaches end of file exactly when the worker exits, and a
+            # send down the task pipe of a dead worker fails.
+            task_reader.close()
             writer.close()
         self._workers[worker_id] = process
+        self._tasks[worker_id] = task_writer
         self._results[worker_id] = reader
+        self._held[worker_id] = []
 
     def _start_executor(self) -> None:
         for _ in range(self.num_workers_requested):
@@ -254,8 +254,9 @@ class WorkerPool(FrontEnd):
         with self._lock:
             self._stopping = True
             workers = list(self._workers.values())
-        for _ in workers:
-            self._task_queue.put(("stop",))
+            # End of file on its task pipe ends a worker's loop.
+            for conn in self._tasks.values():
+                conn.close()
         for process in workers:
             process.join(timeout)
             if process.is_alive():  # pragma: no cover - stuck worker backstop
@@ -268,9 +269,6 @@ class WorkerPool(FrontEnd):
             self._collector.join(timeout)
         with self._lock:
             self._workers.clear()
-        # The task queue's feeder thread must not block interpreter exit.
-        self._task_queue.cancel_join_thread()
-        self._task_queue.close()
         self._ring.close()
         self._ring.unlink()
         _LOG.info("pool closed (drain=%s, restarts=%d)", drain, self._restarts)
@@ -293,16 +291,16 @@ class WorkerPool(FrontEnd):
         1. **pause** dispatch (frames keep queueing in FIFO order);
         2. **drain** every outstanding batch — in-flight work resolves
            against the old generation before anything changes, including
-           a batch re-queued to a crash replacement, which boots from the
+           a batch re-sent to a crash replacement, which boots from the
            not-yet-swapped artefacts;
         3. **swap** the bundle artefacts named by ``swap`` (a
            ``{name: path-or-monitor}`` mapping handed to
            :func:`~repro.serving.artifacts.update_monitor_artifact`, each
            an atomic ``os.replace``; pass stored archives, so the pause
            holds a file copy rather than a serialisation);
-        4. **bump** the shared generation counter and wait until every
-           live worker acknowledged it (idle workers notice within their
-           queue-poll interval; workers spawned mid-reload — e.g. crash
+        4. **bump** the generation, send ``("reload", generation)`` down
+           every live worker's task pipe and wait until every live worker
+           acknowledged it (workers spawned after the bump — e.g. crash
            replacements — boot from the already-swapped artefacts and
            acknowledge via their ready message);
         5. **resume** dispatch.
@@ -330,11 +328,15 @@ class WorkerPool(FrontEnd):
                 self._raise_if_broken()
             for name, source in dict(swap or {}).items():
                 update_monitor_artifact(self.bundle, name, source)
-            with self._generation.get_lock():
-                self._generation.value += 1
-                target = int(self._generation.value)
-            _LOG.info("bumped lifecycle generation to %d", target)
             with self._lock:
+                self._generation += 1
+                target = self._generation
+                for conn in self._tasks.values():
+                    try:
+                        conn.send(("reload", target))
+                    except OSError:
+                        pass  # dead; its replacement boots at ``target``
+                _LOG.info("bumped lifecycle generation to %d", target)
                 while self._broken is None:
                     pending = [
                         worker_id
@@ -364,12 +366,20 @@ class WorkerPool(FrontEnd):
         """First go-live of ``name`` (lifecycle): nothing to swap.
 
         The workers already serve ``name`` from the bundle they booted
-        from; a pool cannot grow names mid-flight.
+        from; a pool cannot grow names mid-flight.  ``monitor`` must be
+        what the bundle's artefact holds (equal fingerprints), or the
+        deployment would name a version the workers never loaded.
         """
         if name not in self.monitor_names:
             raise LifecycleStateError(
                 f"cannot deploy new name '{name}' on a worker pool; the "
                 "bundle the workers booted from does not serve it"
+            )
+        served = load_monitor(self.bundle.monitor_paths[name], self.bundle.load_network())
+        if monitor_fingerprint(served) != monitor_fingerprint(monitor):
+            raise LifecycleStateError(
+                f"cannot deploy '{name}' on a worker pool: the bundle the "
+                "workers booted from holds a different monitor under that name"
             )
 
     def swap(
@@ -386,7 +396,7 @@ class WorkerPool(FrontEnd):
         bytes of ``monitor``, copied as they are), else ``monitor``
         serialised.  The artefact swap runs inside :meth:`reload_workers`,
         after its pause and drain, so no batch dispatched before the call —
-        nor its re-queue after a worker crash — scores against the new
+        nor its re-send after a worker crash — scores against the new
         artefact.
         """
         source = monitor if artifact is None else artifact
@@ -402,15 +412,32 @@ class WorkerPool(FrontEnd):
     # ------------------------------------------------------------------
     def inject_worker_crash(self) -> None:
         """Arm a one-shot crash: the next dispatched batch's worker dies
-        after claiming it (the exact window crash recovery must cover).
-        Re-dispatched batches never carry the marker, so the batch is
-        scored by a replacement and producers observe nothing."""
+        on receiving it, before scoring it.  Re-sent batches never carry
+        the marker, so the batch is scored by a sibling or a replacement
+        and producers observe nothing."""
         with self._lock:
-            self._pending_chaos = CHAOS_EXIT_AFTER_CLAIM
+            self._pending_chaos = CHAOS_EXIT_UNSCORED
 
     # ------------------------------------------------------------------
-    # executor: ring write + task queue
+    # executor: ring write + task pipes
     # ------------------------------------------------------------------
+    def _send(self, task_id: int, chaos: Optional[str] = None) -> None:
+        """Send one batch to the worker holding the fewest (lock held).
+
+        Booted workers come first: a replacement still importing would
+        hold the batch for its whole boot while a sibling sits idle.
+        """
+        worker_id = min(
+            self._held,
+            key=lambda worker: (worker not in self._reload_acks, len(self._held[worker])),
+        )
+        self._held[worker_id].append(task_id)
+        task = self._outstanding[task_id]
+        try:
+            self._tasks[worker_id].send(("batch", task_id, task.slot, len(task.requests), chaos))
+        except OSError:
+            pass  # the worker is dead; its reap re-sends what it held
+
     def _execute(self, requests: List[FrameRequest], reason: str) -> None:
         with self._lock:
             while not self._free_slots and self._broken is None:
@@ -431,7 +458,11 @@ class WorkerPool(FrontEnd):
             return
         frames = np.vstack([request.frame for request in requests])
         self._ring.write(slot, frames)
-        self._task_queue.put(("batch", task_id, slot, len(requests), chaos))
+        with self._lock:
+            # Sent only once its frames are in the ring; a pool broken in
+            # the meantime has already failed it with the rest.
+            if self._broken is None:
+                self._send(task_id, chaos)
 
     # ------------------------------------------------------------------
     # collector / supervisor
@@ -455,7 +486,7 @@ class WorkerPool(FrontEnd):
                     message = conn.recv()
                 except (EOFError, OSError):
                     # The worker exited and everything it sent has been
-                    # read; the reap re-queues what it claimed and left.
+                    # read; the reap re-sends what it still held.
                     worker_id = readers[conn]
                     with self._lock:
                         self._results.pop(worker_id, None)
@@ -491,32 +522,24 @@ class WorkerPool(FrontEnd):
                 )
                 self._wakeup.notify_all()
             _LOG.info("worker %d reloaded (generation=%d)", worker_id, generation)
-        elif kind == "claim":
-            # A claimer is reaped only after its pipe is read to the end, so
-            # every claim arrives while its claimer is still on the books.
-            _, task_id, worker_id = message
-            with self._lock:
-                if task_id in self._outstanding:
-                    self._claims[task_id] = worker_id
         elif kind == "done":
             _, task_id, worker_id, packed = message
-            self._resolve_task(task_id, packed=packed)
+            self._resolve_task(task_id, worker_id, packed=packed)
         elif kind == "fail":
             _, task_id, worker_id, description = message
-            self._resolve_task(task_id, error=RemoteScoringError(description))
+            self._resolve_task(task_id, worker_id, error=RemoteScoringError(description))
 
-    def _resolve_task(self, task_id, packed=None, error=None) -> None:
+    def _resolve_task(self, task_id, worker_id, packed=None, error=None) -> None:
         # Only this (collector) thread removes tasks, so the task stays in
         # _outstanding, visible to quiesce() and reload_workers(), until its
         # futures are settled; its ring slot is free as soon as it answered.
+        # A worker is reaped only after its result pipe is read to the end,
+        # so the answering worker still holds the task here.
         with self._lock:
-            task = self._outstanding.get(task_id)
-            if task is not None:
-                self._claims.pop(task_id, None)
-                self._free_slots.add(task.slot)
-                self._wakeup.notify_all()
-        if task is None:  # late duplicate after a re-queue race
-            return
+            task = self._outstanding[task_id]
+            self._held[worker_id].remove(task_id)
+            self._free_slots.add(task.slot)
+            self._wakeup.notify_all()
         if error is not None:
             self._fail(task.requests, task.reason, error)
         else:
@@ -528,7 +551,7 @@ class WorkerPool(FrontEnd):
             del self._outstanding[task_id]
 
     def _check_workers(self) -> None:
-        """Reap dead workers: re-queue the batches they held, spawn spares."""
+        """Reap dead workers: re-send the batches they held, spawn spares."""
         with self._lock:
             if self._stopping:
                 return
@@ -541,7 +564,7 @@ class WorkerPool(FrontEnd):
         if not dead:
             return
         # What a dead worker sent is still in its pipe: apply it first, so
-        # the reap below knows every claim and answer it made.
+        # a batch it answered leaves its held list and is not re-sent.
         for conn in filter(None, unread):
             try:
                 while conn.poll():
@@ -552,24 +575,13 @@ class WorkerPool(FrontEnd):
         with self._lock:
             if self._stopping:
                 return
+            orphans = []
             for worker_id in dead:
                 process = self._workers.pop(worker_id)
                 process.join()
                 _LOG.warning("worker %d died (exitcode=%s)", worker_id, process.exitcode)
-            # Re-dispatch the same slot coordinates, chaos marker stripped,
-            # of every batch a dead worker claimed — and of every unclaimed
-            # one: a worker killed between taking a task off the queue and
-            # writing its claim leaves no trace of which consumer had it.
-            # If a live worker had it after all, the duplicate is scored
-            # twice and the second "done" is ignored.
-            gone = set(dead) | {None}
-            requeue = []
-            for task_id, task in self._outstanding.items():
-                if self._claims.get(task_id) in gone:
-                    self._claims.pop(task_id, None)
-                    requeue.append(("batch", task_id, task.slot, len(task.requests), None))
-            if requeue:
-                _LOG.warning("re-queued %d in-flight batch(es)", len(requeue))
+                self._tasks.pop(worker_id).close()
+                orphans += self._held.pop(worker_id)
             replacements = 0
             while (
                 not self._closed
@@ -580,7 +592,13 @@ class WorkerPool(FrontEnd):
                 self._restarts += 1
                 replacements += 1
             broken = doomed = None
-            if not self._workers:
+            if self._workers:
+                # The same slot coordinates, chaos marker stripped.
+                for task_id in orphans:
+                    self._send(task_id)
+                if orphans:
+                    _LOG.warning("re-sent %d in-flight batch(es)", len(orphans))
+            else:
                 # Restart budget exhausted with nobody left to score.
                 broken = self._broken = WorkerCrashError(
                     f"all workers died and the restart budget ({self.max_restarts}) "
@@ -590,12 +608,9 @@ class WorkerPool(FrontEnd):
                 # quiesce() never misses them (the flush thread has stopped
                 # and admission raises, so the queue only shrinks).
                 doomed = dict(self._outstanding)
-                self._claims.clear()
                 self._free_slots.update(task.slot for task in doomed.values())
                 pending = list(self._batcher)
                 self._wakeup.notify_all()
-        for item in requeue:
-            self._task_queue.put(item)
         if replacements:
             _LOG.warning("spawned %d replacement worker(s)", replacements)
         if broken is not None:

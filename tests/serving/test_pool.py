@@ -1,7 +1,8 @@
 """Worker pool tests: supervision bookkeeping (fast) and real process pools (slow).
 
 :class:`TestWorkerPoolReap` drives the collector's reap path on a pool that
-was never started, with stand-in process objects, so it runs in tier-1.
+was never started, with stand-in process objects and real pipes, so it runs
+in tier-1, as does :class:`TestWorkerPoolDeploy`.
 The ``slow``-marked classes spawn actual worker processes from the session
 deployment bundle — verdict bit-parity with the offline monitors, crash
 recovery without frame loss, and fully clean shutdown are the acceptance
@@ -9,7 +10,8 @@ criteria of the CI ``service-e2e`` leg.
 """
 
 import multiprocessing
-import queue
+import os
+import signal
 import time
 
 import numpy as np
@@ -19,11 +21,14 @@ from hypothesis import strategies as st
 
 from repro.exceptions import (
     ConfigurationError,
+    LifecycleStateError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShapeError,
     WorkerCrashError,
 )
+from repro.lifecycle import LifecycleManager, MonitorStore
+from repro.monitors.builder import MonitorBuilder
 from repro.service import BatchPolicy
 from repro.service.streaming import FrameRequest
 from repro.serving import WorkerPool
@@ -53,63 +58,83 @@ class _StandInProcess:
         pass
 
 
+@pytest.fixture
+def idle_pool(deployment_bundle):
+    # Never started: no flush thread, collector or worker processes, and
+    # no restart budget, so a reap spawns nothing.
+    pool = WorkerPool(deployment_bundle, num_workers=1, max_restarts=0)
+    yield pool
+    pool._outstanding.clear()
+    pool._workers.clear()
+    pool.close()
+
+
 class TestWorkerPoolReap:
-    """Reaping a dead worker re-queues exactly the batches it left behind."""
+    """Reaping a dead worker re-sends exactly the batches it still held."""
 
-    @pytest.fixture
-    def pool(self, deployment_bundle):
-        # Never started: no flush thread, collector or worker processes, and
-        # no restart budget, so a reap spawns nothing.
-        pool = WorkerPool(deployment_bundle, num_workers=1, max_restarts=0)
-        yield pool
-        pool._outstanding.clear()
-        pool._workers.clear()
-        pool.close()
+    def worker(self, pool, worker_id, alive):
+        """Book a stand-in worker with real pipes; return its two ends."""
+        task_reader, task_writer = multiprocessing.Pipe(duplex=False)
+        result_reader, result_writer = multiprocessing.Pipe(duplex=False)
+        pool._workers[worker_id] = _StandInProcess(alive)
+        pool._tasks[worker_id] = task_writer
+        pool._results[worker_id] = result_reader
+        pool._held[worker_id] = []
+        return task_reader, result_writer
 
-    def task(self, pool, task_id, slot, rows=3):
+    def task(self, pool, task_id, slot, worker_id, rows=3):
         requests = [
             FrameRequest(frame=np.zeros(6), enqueued_at=0.0) for _ in range(rows)
         ]
         pool._outstanding[task_id] = _Task(requests, slot, "size")
+        pool._held[worker_id].append(task_id)
         return [request.future for request in requests]
 
-    def test_unclaimed_task_of_a_dead_worker_is_requeued(self, pool):
-        # A worker killed between taking a task and writing its claim.
-        # Task 9 is held by the live worker and stays with it.
-        pool._workers.update({0: _StandInProcess(False), 1: _StandInProcess(True)})
-        self.task(pool, 7, slot=1)
-        self.task(pool, 9, slot=2)
-        pool._claims[9] = 1
+    def sent(self, task_reader):
+        messages = []
+        while task_reader.poll(0.2):
+            messages.append(task_reader.recv())
+        return messages
+
+    def test_dead_workers_batches_and_only_those_are_resent_in_order(self, idle_pool):
+        pool = idle_pool
+        self.worker(pool, 0, alive=False)
+        sibling, _ = self.worker(pool, 1, alive=True)
+        # A replacement still booting (no ready message yet) holds nothing
+        # but takes nothing while a booted sibling lives.
+        booting, _ = self.worker(pool, 2, alive=True)
+        pool._reload_acks[1] = 0
+        self.task(pool, 7, slot=0, worker_id=0)
+        self.task(pool, 9, slot=1, worker_id=1)
+        self.task(pool, 5, slot=2, worker_id=0)
         pool._check_workers()
-        assert pool._task_queue.get(timeout=10) == ("batch", 7, 1, 3, None)
-        with pytest.raises(queue.Empty):
-            pool._task_queue.get(timeout=0.5)
-        assert pool._claims == {9: 1}
-        assert list(pool._workers) == [1]
+        assert self.sent(sibling) == [("batch", 7, 0, 3, None), ("batch", 5, 2, 3, None)]
+        assert self.sent(booting) == []
+        assert pool._held == {1: [9, 7, 5], 2: []}
+        assert list(pool._workers) == list(pool._tasks) == [1, 2]
         assert pool._broken is None
 
-    def test_dead_workers_pipe_is_read_before_the_reap(self, pool):
-        # The worker answered task 8 and claimed task 7, then died before
-        # the collector read either message.
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        writer.send(("done", 8, 0, {"minmax": bytes([1, 0, 1])}))
-        writer.send(("claim", 7, 0))
-        writer.close()
-        pool._workers.update({0: _StandInProcess(False), 1: _StandInProcess(True)})
-        pool._results[0] = reader
-        claimed = self.task(pool, 7, slot=0)
-        answered = self.task(pool, 8, slot=1)
+    def test_batch_answered_before_death_resolves_and_is_not_resent(self, idle_pool):
+        pool = idle_pool
+        _, dying = self.worker(pool, 0, alive=False)
+        sibling, _ = self.worker(pool, 1, alive=True)
+        answered = self.task(pool, 8, slot=1, worker_id=0)
+        unanswered = self.task(pool, 7, slot=0, worker_id=0)
+        # The worker answered batch 8, then died before the collector read it.
+        dying.send(("done", 8, 0, {"minmax": bytes([1, 0, 1])}))
+        dying.close()
+        reader = pool._results[0]
         pool._check_workers()
         assert [f.result(0).warns["minmax"] for f in answered] == [True, False, True]
-        assert pool._task_queue.get(timeout=10) == ("batch", 7, 0, 3, None)
-        with pytest.raises(queue.Empty):
-            pool._task_queue.get(timeout=0.5)
-        assert not any(f.done() for f in claimed)
+        assert self.sent(sibling) == [("batch", 7, 0, 3, None)]
+        assert not any(f.done() for f in unanswered)
+        assert 8 not in pool._outstanding and 1 in pool._free_slots
         assert 0 not in pool._results and reader.closed
 
-    def test_last_worker_dead_with_no_budget_fails_everything_it_held(self, pool):
-        pool._workers[0] = _StandInProcess(False)
-        dispatched = self.task(pool, 7, slot=0)
+    def test_last_worker_dead_with_no_budget_fails_everything_it_held(self, idle_pool):
+        pool = idle_pool
+        self.worker(pool, 0, alive=False)
+        dispatched = self.task(pool, 7, slot=0, worker_id=0)
         queued = FrameRequest(frame=np.zeros(6), enqueued_at=0.0)
         pool._batcher.append(queued)
         pool._check_workers()
@@ -118,8 +143,27 @@ class TestWorkerPoolReap:
                 future.result(0)
         assert queued.future.cancelled()
         assert not pool._outstanding and not len(pool._batcher)
+        assert not pool._held
         with pytest.raises(WorkerCrashError):
             pool.submit_many(np.zeros((1, 6)))
+
+
+class TestWorkerPoolDeploy:
+    """A pool deploys only the monitor its workers loaded from the bundle."""
+
+    def test_deploy_checks_the_bundle_artefact(
+        self, idle_pool, serving_monitors, tiny_network, tiny_inputs, tmp_path
+    ):
+        idle_pool.deploy("minmax", serving_monitors["minmax"])
+        refit = MonitorBuilder("minmax", 4).build_and_fit(tiny_network, tiny_inputs[:8])
+        with pytest.raises(LifecycleStateError):
+            idle_pool.deploy("minmax", refit)
+        manager = LifecycleManager(
+            idle_pool, MonitorStore(tmp_path / "store"), network=tiny_network
+        )
+        with pytest.raises(LifecycleStateError):
+            manager.deploy("minmax", refit)
+        assert manager.store.live_version("minmax") is None
 
 
 @pytest.mark.slow
@@ -225,6 +269,40 @@ class TestWorkerPoolRecovery:
             again = [f.result(60) for f in pool.submit_many(probe[:5])]
             assert len(again) == 5
 
+    def test_idle_worker_killed_twenty_times_never_hangs_the_pool(
+        self, deployment_bundle, serving_monitors, rng
+    ):
+        def idle():
+            # Every worker booted and nothing in flight: both pipes quiet.
+            with pool._lock:
+                return (
+                    len(pool._workers) == 2
+                    and all(worker in pool._reload_acks for worker in pool._workers)
+                    and not pool._outstanding
+                )
+
+        pool = WorkerPool(
+            deployment_bundle,
+            num_workers=2,
+            max_restarts=20,
+            policy=BatchPolicy(max_batch=16, max_latency=0.002),
+        ).start()
+        try:
+            for _ in range(20):
+                assert wait_for(idle, timeout=60)
+                os.kill(pool._workers[min(pool._workers)].pid, signal.SIGKILL)
+                probe = rng.normal(size=(16, 6))
+                results = [future.result(30) for future in pool.submit_many(probe)]
+                remote = np.array([result.warns["minmax"] for result in results])
+                np.testing.assert_array_equal(
+                    remote, serving_monitors["minmax"].warn_batch(probe)
+                )
+            assert wait_for(idle, timeout=60)
+            assert pool.restarts == 20
+        finally:
+            # Bounded: a hung pool fails the test instead of stalling it.
+            pool.close(drain=False, timeout=30)
+
     def test_restart_budget_exhaustion_breaks_the_pool(
         self, deployment_bundle, rng
     ):
@@ -252,8 +330,6 @@ class TestWorkerPoolRecovery:
             WorkerPool(deployment_bundle, num_workers=0)
         with pytest.raises(ConfigurationError):
             WorkerPool(deployment_bundle, num_workers=2, max_restarts=-1)
-        with pytest.raises(ConfigurationError):
-            WorkerPool(deployment_bundle, num_workers=4, slot_count=2)
 
 
 @pytest.mark.slow
