@@ -43,98 +43,55 @@ Quickstart
 True
 """
 
-from .core import (
-    DEFAULT_PERTURBATION,
-    MonitoringWorkload,
-    MonitorPipeline,
-    build_digits_workload,
-    build_track_workload,
-    default_monitored_layer,
-)
-from .exceptions import (
-    ConfigurationError,
-    DataError,
-    LayerIndexError,
-    LifecycleStateError,
-    NotFittedError,
-    PropagationError,
-    ProtocolError,
-    RemoteScoringError,
-    ReproError,
-    SerializationError,
-    ShapeError,
-    WorkerCrashError,
-)
-from .lifecycle import LifecycleManager, MonitorStore
-from .monitors import (
-    BooleanPatternMonitor,
-    ClassConditionalMonitor,
-    IntervalPatternMonitor,
-    MinMaxMonitor,
-    MonitorBuilder,
-    MonitorEnsemble,
-    MonitorVerdict,
-    PerturbationSpec,
-    RobustBooleanPatternMonitor,
-    RobustIntervalPatternMonitor,
-    RobustMinMaxMonitor,
-)
-from .nn import Sequential, mlp
-from .runtime import BatchScoringEngine, PatternCodec
-from .service import BatchPolicy, StreamingScorer
-from .symbolic import Box, StarSet, perturbation_bounds, propagate_bounds
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # exceptions
-    "ReproError",
-    "ConfigurationError",
-    "ShapeError",
-    "LayerIndexError",
-    "NotFittedError",
-    "PropagationError",
-    "SerializationError",
-    "DataError",
-    "ProtocolError",
-    "RemoteScoringError",
-    "WorkerCrashError",
-    "LifecycleStateError",
-    # networks
-    "Sequential",
-    "mlp",
-    # symbolic
-    "Box",
-    "StarSet",
-    "propagate_bounds",
-    "perturbation_bounds",
-    # monitors
-    "MonitorVerdict",
-    "MinMaxMonitor",
-    "RobustMinMaxMonitor",
-    "BooleanPatternMonitor",
-    "RobustBooleanPatternMonitor",
-    "IntervalPatternMonitor",
-    "RobustIntervalPatternMonitor",
-    "MonitorBuilder",
-    "ClassConditionalMonitor",
-    "MonitorEnsemble",
-    "PerturbationSpec",
-    # runtime
-    "PatternCodec",
-    "BatchScoringEngine",
-    # service
-    "BatchPolicy",
-    "StreamingScorer",
-    # lifecycle
-    "LifecycleManager",
-    "MonitorStore",
-    # pipelines
-    "DEFAULT_PERTURBATION",
-    "MonitoringWorkload",
-    "MonitorPipeline",
-    "build_track_workload",
-    "build_digits_workload",
-    "default_monitored_layer",
-]
+#: Every public name and the subpackage it is read from on first use.
+_EXPORTS = {
+    "ReproError": "exceptions",
+    "ConfigurationError": "exceptions",
+    "ShapeError": "exceptions",
+    "LayerIndexError": "exceptions",
+    "NotFittedError": "exceptions",
+    "PropagationError": "exceptions",
+    "SerializationError": "exceptions",
+    "DataError": "exceptions",
+    "ProtocolError": "exceptions",
+    "RemoteScoringError": "exceptions",
+    "WorkerCrashError": "exceptions",
+    "LifecycleStateError": "exceptions",
+    "Sequential": "nn",
+    "mlp": "nn",
+    "Box": "symbolic",
+    "StarSet": "symbolic",
+    "propagate_bounds": "symbolic",
+    "perturbation_bounds": "symbolic",
+    "MonitorVerdict": "monitors",
+    "MinMaxMonitor": "monitors",
+    "RobustMinMaxMonitor": "monitors",
+    "BooleanPatternMonitor": "monitors",
+    "RobustBooleanPatternMonitor": "monitors",
+    "IntervalPatternMonitor": "monitors",
+    "RobustIntervalPatternMonitor": "monitors",
+    "MonitorBuilder": "monitors",
+    "ClassConditionalMonitor": "monitors",
+    "MonitorEnsemble": "monitors",
+    "PerturbationSpec": "monitors",
+    "PatternCodec": "runtime",
+    "BatchScoringEngine": "runtime",
+    "BatchPolicy": "service",
+    "StreamingScorer": "service",
+    "LifecycleManager": "lifecycle",
+    "MonitorStore": "lifecycle",
+    "DEFAULT_PERTURBATION": "core",
+    "MonitoringWorkload": "core",
+    "MonitorPipeline": "core",
+    "build_track_workload": "core",
+    "build_digits_workload": "core",
+    "default_monitored_layer": "core",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

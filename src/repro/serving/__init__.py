@@ -21,41 +21,30 @@ Verdicts over the wire are bit-identical to offline
 serialized artefacts the offline path round-trips through.
 """
 
-from .artifacts import DeploymentBundle, save_deployment, update_monitor_artifact
-from .client import AsyncScoringClient, ScoringClient
-from .pool import WorkerPool
-from .protocol import (
-    DEFAULT_MAX_PAYLOAD,
-    Frame,
-    FrameDecoder,
-    FrameType,
-    PROTOCOL_VERSION,
-    decode_result,
-    decode_score_request,
-    encode_frame,
-    encode_result,
-    encode_score_request,
-)
-from .ring import SharedFrameRing
-from .server import ScoringServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncScoringClient",
-    "DEFAULT_MAX_PAYLOAD",
-    "DeploymentBundle",
-    "Frame",
-    "FrameDecoder",
-    "FrameType",
-    "PROTOCOL_VERSION",
-    "ScoringClient",
-    "ScoringServer",
-    "SharedFrameRing",
-    "WorkerPool",
-    "decode_result",
-    "decode_score_request",
-    "encode_frame",
-    "encode_result",
-    "encode_score_request",
-    "save_deployment",
-    "update_monitor_artifact",
-]
+#: Every public name and the module it is read from on first use.
+_EXPORTS = {
+    "AsyncScoringClient": "client",
+    "DEFAULT_MAX_PAYLOAD": "protocol",
+    "DeploymentBundle": "artifacts",
+    "Frame": "protocol",
+    "FrameDecoder": "protocol",
+    "FrameType": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "ScoringClient": "client",
+    "ScoringServer": "server",
+    "SharedFrameRing": "ring",
+    "WorkerPool": "pool",
+    "decode_result": "protocol",
+    "decode_score_request": "protocol",
+    "encode_frame": "protocol",
+    "encode_result": "protocol",
+    "encode_score_request": "protocol",
+    "save_deployment": "artifacts",
+    "update_monitor_artifact": "artifacts",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,6 +36,12 @@ Architecture (one task pipe and one result pipe per worker)::
   to ``max_restarts`` — accepted frames survive a crash without producers
   noticing, and each is scored once.  The pipes are per worker so that a
   process dying at any instant can hold no lock a sibling needs.
+
+A worker's boot is a fresh interpreter importing the scoring modules (not
+scipy: see :mod:`~repro.serving.worker`) and loading the bundle, about
+0.3 s on a 2-vCPU x86-64 host.  Each boot is logged and recorded in the
+stats ledger as a ``worker_ready`` event with its ``boot_s`` (spawn to
+``ready``), so boot time shows apart from scoring latency.
 """
 
 from __future__ import annotations
@@ -158,6 +164,9 @@ class WorkerPool(FrontEnd):
         #: Last generation each worker confirmed (via its "ready" boot
         #: message or a "reloaded" acknowledgement).
         self._reload_acks: Dict[int, int] = {}
+        #: Clock reading at each booting worker's spawn; its ready message
+        #: turns it into a ``worker_ready`` event with ``boot_s``.
+        self._spawned_at: Dict[int, float] = {}
         self._pending_chaos: Optional[str] = None
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
@@ -221,6 +230,7 @@ class WorkerPool(FrontEnd):
         # parent's values immediately after the process object exists.
         saved = {key: os.environ.get(key) for key in _BLAS_ENV}
         os.environ.update(dict.fromkeys(_BLAS_ENV, "1"))
+        self._spawned_at[worker_id] = self._clock()
         try:
             process.start()
         finally:
@@ -512,8 +522,12 @@ class WorkerPool(FrontEnd):
                 # The boot generation is an implicit reload ack: a worker
                 # spawned after an artefact swap loaded the new files.
                 self._reload_acks[worker_id] = int(generation)
+                boot_s = self._clock() - self._spawned_at.pop(worker_id)
                 self._wakeup.notify_all()
-            _LOG.info("worker %d ready (pid=%d, monitors=%s)", worker_id, pid, names)
+            self.stats.record_event("worker_ready", f"worker-{worker_id}", boot_s=boot_s)
+            _LOG.info(
+                "worker %d ready in %.3f s (pid=%d, monitors=%s)", worker_id, boot_s, pid, names
+            )
         elif kind == "reloaded":
             _, worker_id, generation = message
             with self._lock:
@@ -582,6 +596,7 @@ class WorkerPool(FrontEnd):
                 _LOG.warning("worker %d died (exitcode=%s)", worker_id, process.exitcode)
                 self._tasks.pop(worker_id).close()
                 orphans += self._held.pop(worker_id)
+                self._spawned_at.pop(worker_id, None)  # died while booting
             replacements = 0
             while (
                 not self._closed

@@ -22,6 +22,13 @@ own task pipe, answering on its own result pipe:
 
 End of file on the task pipe (the pool closed its end) ends the loop.
 
+A worker imports only what scoring needs: this module, the artefact
+loaders and, through them, ``repro.nn``, ``repro.monitors``,
+``repro.runtime``, ``repro.symbolic`` and ``repro.bdd``.  The package
+inits import their re-exports on first use, and scipy is imported by the
+star-LP solve alone, which scoring never reaches.  The import is most of
+a worker's boot: about 0.25 s on a 2-vCPU x86-64 host.
+
 A scoring exception answers ``("fail", ...)`` and the worker lives on; only
 process death (crash, OOM, kill) is handled by the dispatcher's supervision.
 Both pipes belong to this worker alone and every message is written

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..exceptions import ShapeError
 from .interval import Box
@@ -148,6 +147,8 @@ class StarSet:
         """
         if self.num_predicates == 0 or self._hypercube_domain:
             return False
+        from scipy.optimize import linprog
+
         result = linprog(
             np.zeros(self.num_predicates),
             A_ub=self.constraints_a,

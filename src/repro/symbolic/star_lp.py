@@ -21,6 +21,9 @@ two fast paths:
   ``O(stars · 2·d)`` times.  Dimensions whose basis column is all-zero are
   fixed points (``bound = center``) and skipped entirely.
 
+scipy is imported by the LP tier itself, at the first constrained star:
+scoring and every closed-form query run without loading it.
+
 :func:`resolve_star_lp_backend` returns the one shared instance.  A
 :class:`StarLPBackend` instance may be passed wherever a ``star_lp_backend``
 argument is taken (the tests substitute the seed loop that way); any other
@@ -33,8 +36,6 @@ import threading
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from ..exceptions import ConfigurationError, PropagationError
 
@@ -188,6 +189,8 @@ class StackedStarLPBackend(StarLPBackend):
         highs: np.ndarray,
     ) -> None:
         """LP-tier bounds for genuinely constrained stars, chunk-stacked."""
+        from scipy import sparse
+
         jobs = []
         skipped = 0
         for i in indices:
@@ -234,6 +237,9 @@ class StackedStarLPBackend(StarLPBackend):
         objective therefore minimises every block independently — one solver
         entry, ``Σ 2·q_i`` LP answers.
         """
+        from scipy import sparse
+        from scipy.optimize import linprog
+
         blocks = []
         rhs_parts = []
         objective_parts = []

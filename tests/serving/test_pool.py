@@ -244,6 +244,27 @@ class TestWorkerPoolScoring:
 
 
 @pytest.mark.slow
+class TestWorkerPoolBoot:
+    def test_each_boot_is_a_worker_ready_event(self, deployment_bundle):
+        def ready_events():
+            return [
+                event
+                for event in pool.stats.snapshot()["events"]
+                if event["kind"] == "worker_ready"
+            ]
+
+        pool = WorkerPool(deployment_bundle, num_workers=2).start()
+        try:
+            assert wait_for(lambda: len(ready_events()) == 2)
+            events = ready_events()
+            assert sorted(event["name"] for event in events) == ["worker-0", "worker-1"]
+            # spawn → ready: an interpreter start, imports and a bundle load
+            assert all(0 < event["boot_s"] < 60 for event in events)
+        finally:
+            pool.close(drain=False, timeout=30)
+
+
+@pytest.mark.slow
 class TestWorkerPoolRecovery:
     def test_injected_crash_loses_no_accepted_frames(
         self, deployment_bundle, serving_monitors, rng

@@ -45,12 +45,12 @@ class TestConstruction:
 
     def test_is_empty_on_hypercube_domain_skips_the_lp(self, monkeypatch):
         """The default [-1, 1]^m polytope is trivially non-empty: no linprog."""
-        from repro.symbolic import star as star_module
 
         def _forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("is_empty ran an LP on a hypercube domain")
 
-        monkeypatch.setattr(star_module, "linprog", _forbidden)
+        # Patched where the solve imports it from, at call time.
+        monkeypatch.setattr("scipy.optimize.linprog", _forbidden)
         box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
         assert not StarSet.from_box(box).is_empty()
         assert not StarSet.from_point(np.zeros(3)).is_empty()

@@ -166,12 +166,11 @@ class TestClosedFormTier:
         np.testing.assert_array_equal(stacked_highs, loop_highs)
 
     def test_closed_form_tier_runs_zero_lps(self, rng, monkeypatch):
-        from repro.symbolic import star_lp as star_lp_module
-
         def _forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("closed-form tier entered linprog")
 
-        monkeypatch.setattr(star_lp_module, "linprog", _forbidden)
+        # Patched where the solve imports it from, at call time.
+        monkeypatch.setattr("scipy.optimize.linprog", _forbidden)
         backend = StackedStarLPBackend()
         stars = [
             StarSet.from_box(Box.from_center(rng.normal(size=3), 0.2))

@@ -22,6 +22,22 @@ class TestExports:
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ lists '{name}' but it is missing"
 
+    @pytest.mark.parametrize("package", ["repro", "repro.serving"])
+    def test_star_import_binds_every_all_name(self, package):
+        """The package inits resolve their exports lazily; ``import *`` too."""
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
+
+    def test_subpackages_resolve_as_attributes(self):
+        assert repro.symbolic is importlib.import_module("repro.symbolic")
+        assert repro.serving.protocol is importlib.import_module("repro.serving.protocol")
+        with pytest.raises(AttributeError):
+            repro.no_such_name
+
     @pytest.mark.parametrize(
         "name",
         [
