@@ -17,8 +17,13 @@ transformer methods that walk calls — ``affine``, ``relu``,
 * :class:`BatchedStar` — one :class:`~repro.symbolic.star.StarSet` per row
   (each row owns its predicate polytope), advanced in lockstep.  It owns
   the walk's star-LP back-end and answers each activation layer's bound
-  queries, and the final ones, with one
-  :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many` call.
+  queries, and the final ones, with one back-end call.  A ReLU layer asks
+  the *sign-only* query
+  (:meth:`~repro.symbolic.star_lp.StarLPBackend.sign_bounds_many`): the
+  triangle relaxation reads only the sign of a stable neuron, so only the
+  entries whose closed-form box bounds straddle zero are solved by LP.
+  Other activations and the final bounds ask the full
+  :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many`.
 
 Every state is sound row-for-row: row ``i`` of a batched propagation
 matches propagating row ``i`` alone, which ``tests/symbolic`` pins against
@@ -323,9 +328,13 @@ class BatchedStar:
 
     Affine images are exact per row.  ``relu`` and ``elementwise_monotone``
     first ask ``backend`` for the pre-activation bounds of every row in one
-    :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many` call (closed
-    form while a polytope is still a hypercube, block-stacked HiGHS programs
-    once unstable ReLUs constrain it) and hand each star its row.
+    call and hand each star its row: ``relu`` asks
+    :meth:`~repro.symbolic.star_lp.StarLPBackend.sign_bounds_many` (closed
+    form wherever the predicate box decides the sign, LP for the rest),
+    ``elementwise_monotone`` and :meth:`bounds` ask
+    :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many` (closed form
+    while a polytope is still a hypercube, block-stacked HiGHS programs
+    once unstable ReLUs constrain it).
     """
 
     def __init__(self, stars: Sequence[StarSet], dimension: int, backend: StarLPBackend) -> None:
@@ -350,7 +359,7 @@ class BatchedStar:
 
     def relu(self) -> "BatchedStar":
         """Triangle-relaxed ReLU of every row (see :meth:`StarSet.relu`)."""
-        lows, highs = self.bounds()
+        lows, highs = self.backend.sign_bounds_many(self.stars)
         stars = [star.relu((lows[i], highs[i])) for i, star in enumerate(self.stars)]
         return BatchedStar(stars, self.dimension, self.backend)
 

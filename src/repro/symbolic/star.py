@@ -9,11 +9,17 @@ predicate variable ``alpha_i``) and ``C alpha <= d`` is a polyhedral
 constraint on the predicate variables (Tran et al., FM 2019 — reference [5]
 of the paper).  Star sets propagate *exactly* through affine layers, and the
 per-dimension bounds needed by the monitor construction are linear programs
-over the predicate polytope, answered by :mod:`repro.symbolic.star_lp`:
-while the polytope is still the default hypercube the bounds have an exact
-closed form (no LP at all), and genuinely constrained stars batch their
-``2·d`` objectives into block-stacked sparse HiGHS solves instead of one
-``scipy.optimize.linprog`` call per dimension.
+over the predicate polytope, answered by :mod:`repro.symbolic.star_lp`.
+
+Every star also carries the *predicate box*, per-variable bounds that the
+polytope implies: original predicates lie in ``[-1, 1]`` and the fresh
+variable ``beta_j`` that :meth:`StarSet.relu` adds lies in ``[0, u_j]``,
+``u_j`` being the upper bound that ReLU was given.  The box gives a sound
+outer bound in closed form, ``c + Vᵀ·mid ± |V|ᵀ·rad``; it is exact while the
+polytope *is* the box (the default hypercube), and it decides the sign of
+most ReLU inputs of a constrained star without an LP.  A star built from
+explicit constraints has no box (``predicate_box is None``), so every bound
+query on it is an LP.
 
 ReLU layers are handled with the sound single-star over-approximation (the
 triangle relaxation applied per neuron, introducing one fresh predicate
@@ -47,10 +53,12 @@ class StarSet:
     batch in one star-LP back-end call.
 
     ``hypercube_domain`` asserts that the supplied constraints are the
-    default hypercube ``alpha ∈ [-1, 1]^m`` — the flag that unlocks the
-    closed-form (zero-LP) bound tier.  It is tracked automatically by the
-    constructors and transformers; only pass it when rebuilding a star from
-    parts you know came from the default domain.
+    default hypercube ``alpha ∈ [-1, 1]^m`` — the polytope is then its own
+    predicate box and the closed-form bounds are exact.  ``predicate_box``
+    is a ``(low, high)`` pair of per-predicate bounds that the constraints
+    imply (``None``: unbounded).  Both are tracked automatically by the
+    constructors and transformers; only pass them when rebuilding a star
+    from parts you know satisfy them.
     """
 
     def __init__(
@@ -60,6 +68,7 @@ class StarSet:
         constraints_a: Optional[np.ndarray] = None,
         constraints_b: Optional[np.ndarray] = None,
         hypercube_domain: Optional[bool] = None,
+        predicate_box: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         center = np.asarray(center, dtype=np.float64).reshape(-1)
         basis = np.asarray(basis, dtype=np.float64)
@@ -81,11 +90,18 @@ class StarSet:
             )
         if constraints_a.shape[0] != constraints_b.shape[0]:
             raise ShapeError("constraint matrix and vector disagree on row count")
+        if predicate_box is not None and not hypercube_domain:
+            predicate_box = tuple(
+                np.asarray(side, dtype=np.float64).reshape(-1) for side in predicate_box
+            )
+            if any(side.shape[0] != num_predicates for side in predicate_box):
+                raise ShapeError("predicate box must have one entry per predicate")
         self.center = center
         self.basis = basis
         self.constraints_a = constraints_a
         self.constraints_b = constraints_b
         self._hypercube_domain = bool(hypercube_domain)
+        self._predicate_box = None if self._hypercube_domain else predicate_box
 
     # ------------------------------------------------------------------
     # constructors
@@ -119,12 +135,22 @@ class StarSet:
     def is_hypercube_domain(self) -> bool:
         """True while the predicate polytope is the default ``[-1, 1]^m`` box.
 
-        Hypercube stars answer bound queries in closed form — no LP — and
-        are trivially non-empty.  The flag survives :meth:`affine` (which
-        never touches the polytope) and :meth:`relu` on fully stable layers;
-        the first unstable ReLU clears it.
+        The polytope is then its own predicate box, so the closed-form
+        bounds are exact and no LP is needed; the star is also trivially
+        non-empty.  The flag survives :meth:`affine` (which never touches
+        the polytope) and :meth:`relu` on fully stable layers; the first
+        unstable ReLU clears it.
         """
         return self._hypercube_domain
+
+    @property
+    def predicate_box(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(low, high)`` bounds of the predicate variables that the
+        constraints imply, or ``None`` when none are known."""
+        if self._hypercube_domain:
+            ones = np.ones(self.num_predicates)
+            return -ones, ones
+        return self._predicate_box
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact per-dimension lower/upper bounds through the shared back-end.
@@ -176,6 +202,7 @@ class StarSet:
             self.constraints_a,
             self.constraints_b,
             hypercube_domain=self._hypercube_domain,
+            predicate_box=self._predicate_box,
         )
 
     def relu(self, bounds: Tuple[np.ndarray, np.ndarray]) -> "StarSet":
@@ -188,76 +215,70 @@ class StarSet:
             beta_j >= 0,   beta_j >= x_j,   beta_j <= u_j (x_j - l_j)/(u_j - l_j)
 
         and the output dimension ``j`` becomes exactly ``beta_j``, where
-        ``(l, u)`` are the pre-activation ``bounds`` of this star.
+        ``(l, u)`` are the pre-activation ``bounds`` of this star.  Only the
+        sign of a stable neuron's bounds is read.  The relaxation implies
+        ``0 <= beta_j <= u_j``, which extends the predicate box.
         """
-        low, high = bounds
+        low, high = (np.asarray(side, dtype=np.float64) for side in bounds)
         center = np.array(self.center, copy=True)
         basis = np.array(self.basis, copy=True)
-        constraints_a = self.constraints_a
-        constraints_b = self.constraints_b
-        num_predicates = self.num_predicates
-
-        unstable = [j for j in range(self.dimension) if low[j] < 0.0 < high[j]]
-        negative = [j for j in range(self.dimension) if high[j] <= 0.0]
-
-        for j in negative:
-            center[j] = 0.0
-            if basis.shape[0]:
-                basis[:, j] = 0.0
-
-        if not unstable:
+        unstable = np.nonzero((low < 0.0) & (high > 0.0))[0]
+        negative = np.nonzero(high <= 0.0)[0]
+        center[negative] = 0.0
+        basis[:, negative] = 0.0
+        if unstable.size == 0:
             return StarSet(
                 center,
                 basis,
-                constraints_a,
-                constraints_b,
+                self.constraints_a,
+                self.constraints_b,
                 hypercube_domain=self._hypercube_domain,
+                predicate_box=self._predicate_box,
             )
 
-        fresh_count = len(unstable)
-        # Extend existing constraints with columns for the fresh predicates.
-        extended_a = np.hstack(
-            [constraints_a, np.zeros((constraints_a.shape[0], fresh_count))]
-        )
-        extra_rows = []
-        extra_b = []
-        new_basis = np.vstack([basis, np.zeros((fresh_count, self.dimension))])
-        for idx, j in enumerate(unstable):
-            l, u = low[j], high[j]
-            slope = u / (u - l)
-            beta_column = num_predicates + idx
-            x_coefficients = basis[:, j] if basis.shape[0] else np.zeros(0)
-            x_offset = center[j]
+        num_predicates, fresh_count = self.num_predicates, unstable.size
+        l, u = low[unstable], high[unstable]
+        slope = u / (u - l)
+        x_offset = center[unstable]
+        x_coefficients = basis[:, unstable].T
+        beta = np.arange(fresh_count)
+        beta_column = num_predicates + beta
+        # Three triangle rows per unstable neuron, appended below the old
+        # constraints (which get zero columns for the fresh predicates):
+        #   beta_j >= 0             ->  -beta_j <= 0
+        #   beta_j >= x_j           ->  x_j - beta_j <= 0
+        #   beta_j <= slope·(x_j-l) ->  beta_j - slope·x_j <= -slope·l
+        old_rows = self.constraints_a.shape[0]
+        constraints_a = np.zeros((old_rows + 3 * fresh_count, num_predicates + fresh_count))
+        constraints_a[:old_rows, :num_predicates] = self.constraints_a
+        triangle = constraints_a[old_rows:]
+        triangle[3 * beta, beta_column] = -1.0
+        triangle[3 * beta + 1, :num_predicates] = x_coefficients
+        triangle[3 * beta + 1, beta_column] = -1.0
+        triangle[3 * beta + 2, :num_predicates] = -slope[:, None] * x_coefficients
+        triangle[3 * beta + 2, beta_column] = 1.0
+        triangle_b = np.zeros(3 * fresh_count)
+        triangle_b[1::3] = -x_offset
+        triangle_b[2::3] = slope * (x_offset - l)
+        constraints_b = np.concatenate([self.constraints_b, triangle_b])
 
-            # beta_j >= 0   ->  -beta_j <= 0
-            row = np.zeros(num_predicates + fresh_count)
-            row[beta_column] = -1.0
-            extra_rows.append(row)
-            extra_b.append(0.0)
-
-            # beta_j >= x_j ->  x_j - beta_j <= 0
-            row = np.zeros(num_predicates + fresh_count)
-            row[:num_predicates] = x_coefficients
-            row[beta_column] = -1.0
-            extra_rows.append(row)
-            extra_b.append(-x_offset)
-
-            # beta_j <= slope * (x_j - l) -> beta_j - slope*x_j <= -slope*l
-            row = np.zeros(num_predicates + fresh_count)
-            row[:num_predicates] = -slope * x_coefficients
-            row[beta_column] = 1.0
-            extra_rows.append(row)
-            extra_b.append(slope * (x_offset - l))
-
-            # Output dimension j is exactly beta_j.
-            center[j] = 0.0
-            new_basis[:num_predicates, j] = 0.0
-            new_basis[beta_column, j] = 1.0
-
-        constraints_a = np.vstack([extended_a, np.array(extra_rows)])
-        constraints_b = np.concatenate([constraints_b, np.array(extra_b)])
+        # Output dimension j is exactly beta_j.
+        center[unstable] = 0.0
+        new_basis = np.zeros((num_predicates + fresh_count, self.dimension))
+        new_basis[:num_predicates] = basis
+        new_basis[:num_predicates, unstable] = 0.0
+        new_basis[beta_column, unstable] = 1.0
+        predicate_box = None
+        if self.predicate_box is not None:
+            box_low, box_high = self.predicate_box
+            predicate_box = (
+                np.concatenate([box_low, np.zeros(fresh_count)]),
+                np.concatenate([box_high, u]),
+            )
         # Triangle-relaxation rows leave the default hypercube domain.
-        return StarSet(center, new_basis, constraints_a, constraints_b)
+        return StarSet(
+            center, new_basis, constraints_a, constraints_b, predicate_box=predicate_box
+        )
 
     def elementwise_monotone(
         self, bound_transform, bounds: Tuple[np.ndarray, np.ndarray]

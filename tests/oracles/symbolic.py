@@ -5,8 +5,11 @@ These are the formulations the library started from: a single-sample
 :class:`Zonotope`, a single-sample layer walk (:func:`_propagate_geometric`)
 over a :class:`~repro.symbolic.interval.Box`, a :class:`Zonotope` or a
 :class:`~repro.symbolic.star.StarSet`, one dense ``scipy.optimize.linprog``
-call per dimension per sense for a star's bounds, and one Definition-1
-perturbation estimate per input for a training set.  They are slow but
+call per dimension per sense for a star's bounds, one Definition-1
+perturbation estimate per input for a training set, the per-neuron star
+ReLU (:func:`star_relu_loop`), the hypercube closed form
+(:func:`hypercube_bounds`) and the lockstep star walk whose ReLU layers ask
+full bound queries (:func:`star_walk_full_query`).  They are slow but
 obviously right, and they share no layer walk with ``repro.symbolic``, so
 the tests (and the loop-vs-batched benchmarks) pin the batched walk, the
 closed-form and block-stacked tiers against them.
@@ -214,10 +217,9 @@ class LoopStarLPBackend(StarLPBackend):
     def bounds_many(self, stars: Sequence) -> Tuple[np.ndarray, np.ndarray]:
         if not stars:
             return np.zeros((0, 0)), np.zeros((0, 0))
-        lows, highs = self._output_arrays(stars)
-        for index, star in enumerate(stars):
-            lows[index], highs[index] = star_bounds_loop(star)
-        return lows, highs
+        self._dimension(stars)
+        answers = [star_bounds_loop(star) for star in stars]
+        return np.stack([low for low, _ in answers]), np.stack([high for _, high in answers])
 
 
 def star_bounds_loop_batch(
@@ -262,3 +264,120 @@ def collect_bound_arrays_loop(
         lows.append(low)
         highs.append(high)
     return np.vstack(lows), np.vstack(highs)
+
+
+def star_relu_loop(star: StarSet, bounds: Tuple[np.ndarray, np.ndarray]) -> StarSet:
+    """The seed :meth:`StarSet.relu`: one neuron at a time, one triangle row
+    appended at a time.  The result carries no predicate box."""
+    low, high = bounds
+    center = np.array(star.center, copy=True)
+    basis = np.array(star.basis, copy=True)
+    constraints_a = star.constraints_a
+    constraints_b = star.constraints_b
+    num_predicates = star.num_predicates
+
+    unstable = [j for j in range(star.dimension) if low[j] < 0.0 < high[j]]
+    negative = [j for j in range(star.dimension) if high[j] <= 0.0]
+
+    for j in negative:
+        center[j] = 0.0
+        if basis.shape[0]:
+            basis[:, j] = 0.0
+
+    if not unstable:
+        return StarSet(
+            center,
+            basis,
+            constraints_a,
+            constraints_b,
+            hypercube_domain=star.is_hypercube_domain,
+        )
+
+    fresh_count = len(unstable)
+    extended_a = np.hstack(
+        [constraints_a, np.zeros((constraints_a.shape[0], fresh_count))]
+    )
+    extra_rows = []
+    extra_b = []
+    new_basis = np.vstack([basis, np.zeros((fresh_count, star.dimension))])
+    for idx, j in enumerate(unstable):
+        l, u = low[j], high[j]
+        slope = u / (u - l)
+        beta_column = num_predicates + idx
+        x_coefficients = basis[:, j] if basis.shape[0] else np.zeros(0)
+        x_offset = center[j]
+
+        # beta_j >= 0   ->  -beta_j <= 0
+        row = np.zeros(num_predicates + fresh_count)
+        row[beta_column] = -1.0
+        extra_rows.append(row)
+        extra_b.append(0.0)
+
+        # beta_j >= x_j ->  x_j - beta_j <= 0
+        row = np.zeros(num_predicates + fresh_count)
+        row[:num_predicates] = x_coefficients
+        row[beta_column] = -1.0
+        extra_rows.append(row)
+        extra_b.append(-x_offset)
+
+        # beta_j <= slope * (x_j - l) -> beta_j - slope*x_j <= -slope*l
+        row = np.zeros(num_predicates + fresh_count)
+        row[:num_predicates] = -slope * x_coefficients
+        row[beta_column] = 1.0
+        extra_rows.append(row)
+        extra_b.append(slope * (x_offset - l))
+
+        # Output dimension j is exactly beta_j.
+        center[j] = 0.0
+        new_basis[:num_predicates, j] = 0.0
+        new_basis[beta_column, j] = 1.0
+
+    constraints_a = np.vstack([extended_a, np.array(extra_rows)])
+    constraints_b = np.concatenate([constraints_b, np.array(extra_b)])
+    return StarSet(center, new_basis, constraints_a, constraints_b)
+
+
+def hypercube_bounds(star: StarSet) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed closed form of a hypercube star: ``center ± |basis|ᵀ·1``."""
+    radius = np.abs(star.basis).sum(axis=0)
+    return star.center - radius, star.center + radius
+
+
+def star_walk_full_query(
+    network, batched_box, from_layer: int, to_layer: int, backend, record=None
+):
+    """The lockstep star walk with full bound queries at every ReLU layer.
+
+    Each ReLU layer asks ``backend.bounds_many`` for exact pre-activation
+    bounds of every row, and :func:`star_relu_loop` relaxes each row.  When
+    ``record`` is a list, one ``(unstable, negative)`` pair of ``(N, d)``
+    masks is appended per ReLU layer.  Returns the final stars.
+    """
+    stars = [
+        StarSet.from_box(Box(low, high))
+        for low, high in zip(batched_box.lows, batched_box.highs)
+    ]
+    for layer in network.layers[from_layer:to_layer]:
+        if isinstance(layer, Dense):
+            stars = [star.affine(layer.weights, layer.bias) for star in stars]
+        elif isinstance(layer, Scale):
+            dimension = stars[0].dimension
+            stars = [
+                star.affine(np.eye(dimension) * layer.scale, np.full(dimension, layer.shift))
+                for star in stars
+            ]
+        elif isinstance(layer, ActivationLayer):
+            lows, highs = backend.bounds_many(stars)
+            if isinstance(layer.activation, ReLU):
+                if record is not None:
+                    record.append(((lows < 0.0) & (highs > 0.0), highs <= 0.0))
+                stars = [
+                    star_relu_loop(star, (lows[i], highs[i])) for i, star in enumerate(stars)
+                ]
+            else:
+                transform = layer.activation.bound_transform
+                stars = [
+                    star.elementwise_monotone(transform, (lows[i], highs[i]))
+                    for i, star in enumerate(stars)
+                ]
+    return stars

@@ -9,6 +9,8 @@ from repro.exceptions import ShapeError
 from repro.symbolic.interval import Box
 from repro.symbolic.star import StarSet
 
+from ..oracles.symbolic import star_relu_loop
+
 
 class TestConstruction:
     def test_from_box_bounds_match_box(self):
@@ -143,6 +145,81 @@ class TestReLU:
         image = StarSet.from_box(box).affine(weights, bias)
         star_out = image.relu(image.bounds()).to_box()
         assert star_out.width_sum() <= box_out.width_sum() + 1e-6
+
+
+def _relu_bounds(rng, dimension, mode):
+    """Pre-activation bounds whose every neuron is stable or unstable per ``mode``."""
+    if mode == "unstable":
+        return -rng.uniform(0.05, 1.0, dimension), rng.uniform(0.05, 1.0, dimension)
+    width = rng.uniform(0.0, 2.0, size=dimension)
+    if mode == "stable":
+        # Each neuron either positive (low >= 0) or negative (high <= 0).
+        low = np.where(rng.random(dimension) < 0.5, rng.uniform(0.0, 1.0, dimension), -3.0)
+        return low, np.where(low < 0.0, -rng.uniform(0.0, 1.0, dimension), low + width)
+    low = rng.normal(size=dimension)
+    return low, low + width
+
+
+class TestVectorisedReLU:
+    """:meth:`StarSet.relu` is pinned bit for bit to the seed per-neuron loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        predicates=st.integers(0, 5),
+        dimension=st.integers(1, 6),
+        mode=st.sampled_from(["mixed", "stable", "unstable"]),
+        constrained=st.booleans(),
+    )
+    def test_relu_matches_loop_bitwise(self, seed, predicates, dimension, mode, constrained):
+        rng = np.random.default_rng(seed)
+        star = StarSet(rng.normal(size=dimension), rng.normal(size=(predicates, dimension)))
+        if constrained:
+            # An earlier unstable ReLU: a constrained polytope with a box.
+            star = star.relu(_relu_bounds(rng, dimension, "unstable")).affine(
+                rng.normal(size=(dimension, dimension)), rng.normal(size=dimension)
+            )
+        bounds = _relu_bounds(rng, dimension, mode)
+        result = star.relu(bounds)
+        reference = star_relu_loop(star, bounds)
+        for name in ("center", "basis", "constraints_a", "constraints_b"):
+            np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
+        assert result.is_hypercube_domain == reference.is_hypercube_domain
+
+        unstable = (bounds[0] < 0.0) & (bounds[1] > 0.0)
+        box_low, box_high = result.predicate_box
+        np.testing.assert_array_equal(
+            box_low, np.concatenate([star.predicate_box[0], np.zeros(unstable.sum())])
+        )
+        np.testing.assert_array_equal(
+            box_high, np.concatenate([star.predicate_box[1], bounds[1][unstable]])
+        )
+        if mode == "stable":
+            assert result.constraints_a is star.constraints_a
+        if mode == "unstable":
+            assert result.num_predicates == star.num_predicates + dimension
+
+    def test_relu_keeps_an_unbounded_box_unbounded(self):
+        star = StarSet(
+            np.zeros(2), np.eye(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+        )
+        assert star.predicate_box is None
+        result = star.relu((np.array([-1.0, 0.5]), np.array([1.0, 1.5])))
+        assert result.predicate_box is None
+        assert result.num_predicates == 3
+
+    def test_default_domain_box_is_the_hypercube(self):
+        star = StarSet.from_box(Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0])))
+        np.testing.assert_array_equal(star.predicate_box[0], [-1.0, -1.0])
+        np.testing.assert_array_equal(star.predicate_box[1], [1.0, 1.0])
+        with pytest.raises(ShapeError):
+            StarSet(
+                np.zeros(2),
+                np.eye(2),
+                np.vstack([np.eye(2), -np.eye(2)]),
+                np.ones(4),
+                predicate_box=(np.zeros(1), np.ones(1)),
+            )
 
 
 class TestMonotone:

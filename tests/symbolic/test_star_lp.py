@@ -26,7 +26,13 @@ from repro.symbolic.star import StarSet
 from repro.symbolic import star_lp as star_lp_module
 from repro.symbolic.star_lp import StackedStarLPBackend, StarLPBackend, resolve_star_lp_backend
 
-from ..oracles.symbolic import LoopStarLPBackend, star_bounds_loop, star_bounds_loop_batch
+from ..oracles.symbolic import (
+    LoopStarLPBackend,
+    hypercube_bounds,
+    star_bounds_loop,
+    star_bounds_loop_batch,
+    star_walk_full_query,
+)
 
 #: LP-tier agreement bound (ISSUE acceptance: within 1e-6 of the seed loop).
 LP_ATOL = 1e-6
@@ -286,7 +292,151 @@ class TestLPTier:
         assert backend.stats["closed_form_stars"] == 1
         assert backend.stats["lp_programs"] >= 1
         # 2 objectives per non-zero basis column, all answered by the solves.
-        assert backend.stats["lp_objectives"] > 0
+        moving = sum(int(np.any(star.basis != 0.0, axis=0).sum()) for star in stars[:4])
+        assert backend.stats["lp_objectives"] == 2 * moving
+
+        # A sign-only query the predicate box settles needs no LP: the
+        # constrained star counts as closed-form.
+        shifted = [star.affine(np.eye(3), np.full(3, 50.0)) for star in stars[:4]]
+        backend.reset_stats()
+        backend.sign_bounds_many(shifted)
+        assert backend.stats["closed_form_stars"] == 4
+        assert backend.stats["lp_stars"] == backend.stats["lp_programs"] == 0
+
+
+def box_decided_network(seed):
+    """Two ReLU layers; the second one's inputs sit far from zero, so the
+    predicate box decides every one of their signs."""
+    network = mlp(4, [6, 5], 2, activation="relu", seed=seed)
+    second = network.layers[2]
+    rng = np.random.default_rng(seed)
+    second.weights = second.weights * 0.01
+    second.bias = rng.choice([-5.0, 5.0], size=second.bias.shape)
+    return network
+
+
+class RecordingSigns(StackedStarLPBackend):
+    """The stacked tier, recording the stable/unstable split of every ReLU query."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.splits = []
+
+    def sign_bounds_many(self, stars):
+        lows, highs = super().sign_bounds_many(stars)
+        self.splits.append(((lows < 0.0) & (highs > 0.0), highs <= 0.0))
+        return lows, highs
+
+
+class TestDecidePass:
+    """The sign-only ReLU query against the full-query reference walk."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        batch=st.integers(1, 5),
+        delta=st.floats(1e-3, 0.3),
+    )
+    def test_walk_matches_full_query_walk(self, seed, batch, delta):
+        rng = np.random.default_rng(seed)
+        input_dim = int(rng.integers(2, 5))
+        hidden = [int(rng.integers(3, 7)) for _ in range(int(rng.integers(1, 4)))]
+        network = mlp(input_dim, hidden, 2, activation="relu", seed=seed % 997)
+        to_layer = len(network.layers)
+        inputs = rng.uniform(-1.5, 1.5, size=(batch, input_dim))
+        backend = RecordingSigns()
+        lows, highs = perturbation_bounds_batch(
+            network, inputs, to_layer, 0, delta, "star", star_lp_backend=backend
+        )
+        record = []
+        final = star_walk_full_query(
+            network,
+            BatchedBox(inputs - delta, inputs + delta),
+            0,
+            to_layer,
+            StackedStarLPBackend(),
+            record,
+        )
+        assert len(backend.splits) == len(record) == len(hidden)
+        for (unstable, negative), (ref_unstable, ref_negative) in zip(backend.splits, record):
+            np.testing.assert_array_equal(unstable, ref_unstable)
+            np.testing.assert_array_equal(negative, ref_negative)
+        ref_lows, ref_highs = LoopStarLPBackend().bounds_many(final)
+        np.testing.assert_allclose(lows, ref_lows, rtol=0.0, atol=LP_ATOL)
+        np.testing.assert_allclose(highs, ref_highs, rtol=0.0, atol=LP_ATOL)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), delta=st.floats(1e-3, 0.5))
+    def test_hypercube_walk_is_bitwise_the_seed_closed_form(self, seed, delta):
+        rng = np.random.default_rng(seed)
+        network = mlp(3, [5, 4], 3, activation="tanh", seed=seed % 991)
+        to_layer = len(network.layers)
+        inputs = rng.uniform(-1.0, 1.0, size=(4, 3))
+        backend = StackedStarLPBackend()
+        lows, highs = perturbation_bounds_batch(
+            network, inputs, to_layer, 0, delta, "star", star_lp_backend=backend
+        )
+        final = star_walk_full_query(
+            network, BatchedBox(inputs - delta, inputs + delta), 0, to_layer, backend
+        )
+        assert all(star.is_hypercube_domain for star in final)
+        np.testing.assert_array_equal(lows, np.stack([hypercube_bounds(s)[0] for s in final]))
+        np.testing.assert_array_equal(highs, np.stack([hypercube_bounds(s)[1] for s in final]))
+        assert backend.stats["lp_programs"] == 0
+
+    def test_box_decided_relu_layer_runs_no_lp(self, rng):
+        network = box_decided_network(seed=8)
+        to_layer = len(network.layers)
+        inputs = rng.uniform(-1.0, 1.0, size=(6, 4))
+        delta = 0.3
+        backend = StackedStarLPBackend()
+        lows, highs = perturbation_bounds_batch(
+            network, inputs, to_layer, 0, delta, "star", star_lp_backend=backend
+        )
+        final = star_walk_full_query(
+            network, BatchedBox(inputs - delta, inputs + delta), 0, to_layer, backend
+        )
+        constrained = [star for star in final if not star.is_hypercube_domain]
+        assert constrained, "the first ReLU layer must cross neurons"
+        final_query = sum(
+            2 * int(np.any(star.basis != 0.0, axis=0).sum()) for star in constrained
+        )
+        backend.reset_stats()
+        perturbation_bounds_batch(
+            network, inputs, to_layer, 0, delta, "star", star_lp_backend=backend
+        )
+        assert backend.stats["lp_objectives"] == final_query
+        assert backend.stats["lp_programs"] == 1
+        ref_lows, ref_highs = LoopStarLPBackend().bounds_many(final)
+        np.testing.assert_allclose(lows, ref_lows, rtol=0.0, atol=LP_ATOL)
+        np.testing.assert_allclose(highs, ref_highs, rtol=0.0, atol=LP_ATOL)
+
+    def test_hand_built_star_has_no_box_and_is_solved(self, rng):
+        star = constrained_stars(rng, 1)[0]
+        hand_built = StarSet(
+            star.center + 60.0, star.basis, star.constraints_a, star.constraints_b
+        )
+        assert hand_built.predicate_box is None
+        reference = star_bounds_loop(hand_built)
+        for query in ("bounds_many", "sign_bounds_many"):
+            backend = StackedStarLPBackend()
+            lows, highs = getattr(backend, query)([hand_built])
+            assert backend.stats["lp_stars"] == 1, query
+            np.testing.assert_allclose(lows[0], reference[0], rtol=0.0, atol=LP_ATOL)
+            np.testing.assert_allclose(highs[0], reference[1], rtol=0.0, atol=LP_ATOL)
+
+    def test_loop_backend_answers_the_sign_query_by_lp(self, rng):
+        stars = constrained_stars(rng, 3)
+        loop = LoopStarLPBackend()
+        for got, expected in zip(loop.sign_bounds_many(stars), loop.bounds_many(stars)):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_box_bounds_contain_the_exact_bounds(self, rng):
+        stars = constrained_stars(rng, 6)
+        box_lows, box_highs = StackedStarLPBackend._closed_form(stars, 3)
+        lows, highs = LoopStarLPBackend().bounds_many(stars)
+        assert np.all(box_lows <= lows + LP_ATOL)
+        assert np.all(box_highs >= highs - LP_ATOL)
 
 
 class TestBatchedWalkEquivalence:
