@@ -76,7 +76,6 @@ _EXPORTS = {
     "RobustIntervalPatternMonitor": "monitors",
     "MonitorBuilder": "monitors",
     "ClassConditionalMonitor": "monitors",
-    "MonitorEnsemble": "monitors",
     "PerturbationSpec": "monitors",
     "PatternCodec": "runtime",
     "BatchScoringEngine": "runtime",

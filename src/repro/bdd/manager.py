@@ -10,7 +10,7 @@ This module provides a small but complete ROBDD implementation:
 
 * hash-consed nodes with a unique table (canonical form);
 * the ``ite`` (if-then-else) operator with a computed-table cache, from which
-  conjunction, disjunction, negation, xor and implication are derived;
+  conjunction, disjunction and negation are derived;
 * restriction, existential quantification, model counting and model
   enumeration;
 * cube construction from partial assignments, which is exactly what the
@@ -162,11 +162,6 @@ class BDDManager:
         cache[key] = result
         return result
 
-    def _cofactors(self, ref: int, var: int) -> Tuple[int, int]:
-        if self._var[ref] == var:
-            return self._low[ref], self._high[ref]
-        return ref, ref
-
     # ------------------------------------------------------------------
     # derived Boolean operations
     # ------------------------------------------------------------------
@@ -176,23 +171,8 @@ class BDDManager:
     def apply_or(self, f: int, g: int) -> int:
         return self.ite(f, TRUE, g)
 
-    def apply_xor(self, f: int, g: int) -> int:
-        return self.ite(f, self.negate(g), g)
-
-    def apply_implies(self, f: int, g: int) -> int:
-        return self.ite(f, g, TRUE)
-
     def negate(self, f: int) -> int:
         return self.ite(f, FALSE, TRUE)
-
-    def conjoin(self, refs: Iterable[int]) -> int:
-        """Conjunction of an iterable of BDDs (TRUE for the empty iterable)."""
-        result = TRUE
-        for ref in refs:
-            result = self.apply_and(result, ref)
-            if result == FALSE:
-                return FALSE
-        return result
 
     def disjoin(self, refs: Iterable[int]) -> int:
         """Disjunction of an iterable of BDDs (FALSE for the empty iterable)."""
@@ -250,16 +230,6 @@ class BDDManager:
             )
         return result
 
-    def forall(self, f: int, variables: Sequence[int]) -> int:
-        """Universally quantify ``variables`` out of ``f``."""
-        result = f
-        for var in variables:
-            self._check_var(var)
-            result = self.apply_and(
-                self.restrict(result, {var: False}), self.restrict(result, {var: True})
-            )
-        return result
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -275,10 +245,6 @@ class BDDManager:
             var, low, high = self.node(ref)
             ref = high if assignment[var] else low
         return ref == TRUE
-
-    def count_solutions(self, f: int) -> int:
-        """Number of complete assignments satisfying ``f``."""
-        return self.count_solutions_exact(f)
 
     def _count_scaled(self, f: int) -> int:
         """Count solutions below ``f`` with the standard 2^{gap} scaling.
@@ -443,7 +409,3 @@ class BDDManager:
                 f"{self.num_vars} variables"
             )
         return self.cube({index: bool(value) for index, value in enumerate(assignment)})
-
-    def clear_caches(self) -> None:
-        """Drop the operation cache (unique table is kept for canonicity)."""
-        self._ite_cache.clear()

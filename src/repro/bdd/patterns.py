@@ -9,9 +9,8 @@ words that supports:
 * insertion of *ternary* words containing don't-care symbols — the paper's
   ``word2set`` — without enumerating the exponential expansion, again one at
   a time or as batched value/mask bit-planes;
-* insertion of words whose positions carry contiguous *sets* of admissible
-  codes (the robust interval monitor of Section III-C), with a bulk
-  code-range variant;
+* bulk insertion of words whose positions carry contiguous *ranges* of
+  admissible codes (the robust interval monitor of Section III-C);
 * membership queries (single word or a whole batch at once),
   Hamming-distance-relaxed membership, cardinality and size introspection.
 
@@ -36,8 +35,7 @@ node for node the one an eager build of every inserted row gives.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -299,40 +297,6 @@ class PatternSet:
         self._matcher.add_ternary(planes)
         self._inserted(len(planes))
 
-    def add_code_sets(self, code_sets: Sequence[Iterable[int]]) -> None:
-        """Insert every word whose position ``i`` code lies in ``code_sets[i]``.
-
-        This is the robust interval monitor's ``word2set``: position ``i`` may
-        take any code from a non-empty set (e.g. ``{01, 10}``), and the
-        inserted set is the Cartesian product of the per-position sets.
-        Contiguous sets (the only kind the monotone interval encoding
-        produces) are mirrored exactly as a code range; a non-contiguous set
-        raises :class:`~repro.exceptions.ConfigurationError`.
-        """
-        if len(code_sets) != self.num_positions:
-            raise ConfigurationError(
-                f"expected {self.num_positions} code sets, got {len(code_sets)}"
-            )
-        normalised: List[List[int]] = []
-        for position, codes in enumerate(code_sets):
-            codes = sorted(set(int(code) for code in codes))
-            if not codes:
-                raise ConfigurationError(
-                    f"position {position} has an empty admissible code set"
-                )
-            if codes[0] < 0 or codes[-1] >= 1 << self.bits_per_position:
-                raise ConfigurationError(
-                    f"codes must fit in {self.bits_per_position} bits"
-                )
-            if codes[-1] - codes[0] + 1 != len(codes):
-                raise ConfigurationError(
-                    f"position {position} has a non-contiguous code set {codes}"
-                )
-            normalised.append(codes)
-        low = np.array([[codes[0] for codes in normalised]], dtype=np.int64)
-        high = np.array([[codes[-1] for codes in normalised]], dtype=np.int64)
-        self.add_range_patterns(low, high)
-
     def add_range_patterns(self, low_codes: np.ndarray, high_codes: np.ndarray) -> None:
         """Bulk-insert words given as per-position contiguous code ranges.
 
@@ -410,32 +374,6 @@ class PatternSet:
         if distance < 0:
             raise ConfigurationError("Hamming distance must be non-negative")
         return bool(self.min_distance_batch([list(word)], distance)[0] <= distance)
-
-    def _within_hamming_bdd(self, word: Sequence[int], distance: int) -> bool:
-        """:meth:`contains_within_hamming` by BDD restriction.
-
-        Frees every combination of up to ``distance`` positions in turn and
-        asks whether the BDD restricted to the rest of ``word`` is
-        satisfiable.  The tests use it as the oracle of
-        :meth:`min_distance_batch`.
-        """
-        self._ensure_bdd()
-        assignment = self._word_to_assignment(word)
-        if self.manager.evaluate(self._root, assignment):
-            return True
-        bits = self.bits_per_position
-        positions = range(self.num_positions)
-        for radius in range(1, min(distance, self.num_positions) + 1):
-            for flipped in combinations(positions, radius):
-                fixed = {
-                    index: assignment[index]
-                    for position in positions
-                    if position not in flipped
-                    for index in range(position * bits, (position + 1) * bits)
-                }
-                if self.manager.restrict(self._root, fixed) != FALSE:
-                    return True
-        return False
 
     def cardinality(self) -> int:
         """Number of fully specified words in the set.

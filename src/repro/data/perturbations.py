@@ -9,7 +9,7 @@ perturbed versions of training inputs; this module provides the samplers
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -106,15 +106,3 @@ def perturb_dataset_inputs(
         raise DataError(f"unknown perturbation kind '{kind}'")
     sampler = samplers[kind]
     return np.vstack([sampler(row, delta, 1, rng=rng) for row in inputs])
-
-
-def perturbation_stream(
-    vector: np.ndarray,
-    delta: float,
-    rng: Optional[np.random.Generator] = None,
-) -> Iterator[np.ndarray]:
-    """Infinite stream of uniform Δ-bounded perturbations of one vector."""
-    if rng is None:
-        rng = np.random.default_rng()
-    while True:
-        yield uniform_perturbations(vector, delta, 1, rng=rng)[0]

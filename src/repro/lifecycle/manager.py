@@ -39,12 +39,13 @@ live in other processes and cannot share the engine pass.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from typing import Dict, Optional
 
 import numpy as np
 
-from ..exceptions import LifecycleStateError
+from ..exceptions import ConfigurationError, LifecycleStateError
 from .refit import incremental_refit
 from .store import MonitorStore
 
@@ -334,8 +335,22 @@ class LifecycleManager:
 
         ``watch_budget`` keeps the *outgoing* version scoring in shadow of
         the new live; if post-promotion disagreement on real traffic
-        breaches the budget, the manager rolls back automatically.
+        breaches the budget, the manager rolls back automatically.  The
+        arguments are checked before anything changes: a refused call
+        leaves the live and staged versions as they were.
         """
+        if watch_budget is not None:
+            if (
+                isinstance(watch_budget, bool)
+                or not isinstance(watch_budget, numbers.Real)
+                or not 0.0 <= watch_budget <= 1.0
+            ):
+                raise ConfigurationError(
+                    f"watch_budget must be a rate in [0, 1], got {watch_budget!r}"
+                )
+            if watch_frames < 1:
+                raise ConfigurationError("watch_frames must be at least 1")
+            self._require_shadow_capable("promote(watch_budget=...)")
         with self._lock:
             staged = self._require_staged(name)
             if staged.state == STATE_SHADOW:
@@ -345,7 +360,6 @@ class LifecycleManager:
             old_version = self.store.live_version(name)
             old_monitor = None
             if watch_budget is not None:
-                self._require_shadow_capable("promote(watch_budget=...)")
                 old_monitor = self.scorer.registry.get(name)
             self._swap_live(
                 name, staged.monitor, staged.version, timeout, quiesce=True

@@ -30,7 +30,6 @@ from .encoding import (
     paper_code_2bit,
     paper_robust_code_set_2bit,
 )
-from .ensemble import MonitorEnsemble
 from .fingerprint import monitor_fingerprint
 from .interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
 from .minmax import MinMaxMonitor, RobustMinMaxMonitor
@@ -60,7 +59,6 @@ __all__ = [
     "RobustIntervalPatternMonitor",
     "MonitorBuilder",
     "ClassConditionalMonitor",
-    "MonitorEnsemble",
     "MonitorRegistry",
     "MONITOR_FAMILIES",
     "PerturbationSpec",

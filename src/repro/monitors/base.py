@@ -156,7 +156,7 @@ class ActivationMonitor:
         Binding is meant for *batch* work — fitting and bulk evaluation.
         Keep per-frame deployment scoring unbound: a one-row ``warn`` through
         the cache pays fingerprinting plus an all-layers forward pass and
-        churns the LRU for no reuse.  The builder/ensemble/class-conditional
+        churns the LRU for no reuse.  The builder and class-conditional
         helpers therefore bind only for the duration of ``fit`` and detach
         before returning.
         """

@@ -27,7 +27,7 @@ the same mirror.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -129,12 +129,6 @@ class PatternDistanceMonitor:
     def _require_fitted(self) -> None:
         if not self.monitor.is_fitted:
             raise NotFittedError("the wrapped pattern monitor has not been fitted")
-
-    def _observed_word(self, input_vector: np.ndarray) -> Sequence[int]:
-        feature = self.monitor.features(input_vector)[0]
-        if isinstance(self.monitor, BooleanPatternMonitor):
-            return self.monitor._word(feature)
-        return self.monitor._codes(feature)
 
     def _distance_limit(self) -> int:
         if self.max_distance is None:

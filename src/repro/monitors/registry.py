@@ -1,7 +1,7 @@
 """Registration surface for hosting several monitors over one network.
 
 A serving deployment typically runs a *set* of monitors next to one frozen
-network — a standard and a robust variant, an ensemble across layers, a
+network — a standard and a robust variant, one monitor per layer, a
 class-conditional dispatcher — and needs to add or retire members without
 restarting the scorer.  :class:`MonitorRegistry` is that surface: a named,
 validated, thread-safe collection of scoreable monitors over one host

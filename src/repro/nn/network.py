@@ -139,10 +139,6 @@ class Sequential:
             outputs.append(out[0] if squeeze else out)
         return outputs
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`forward` in inference mode."""
-        return self.forward(x, training=False)
-
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         """Return the argmax class of the network output for each input."""
         logits = self.forward(x, training=False)

@@ -1,9 +1,9 @@
 """Batched runtime scoring: shared forward passes across monitors.
 
 A deployment typically runs several monitors against the *same* network —
-a standard and a robust variant on one layer, or an ensemble spanning
-layers.  Scoring them naively repeats the network forward pass once per
-monitor per evaluation batch.  :class:`BatchScoringEngine` computes the
+a standard and a robust variant on one layer, or one monitor per layer
+for a multi-layer vote.  Scoring them naively repeats the network forward
+pass once per monitor per evaluation batch.  :class:`BatchScoringEngine` computes the
 layer activations of an input batch once, caches them keyed by a content
 fingerprint of the batch, and feeds every monitor its slice — so N monitors
 on one network cost one forward pass, and re-scoring the same evaluation set

@@ -34,7 +34,7 @@ equivalence and hypothesis tests in ``tests/service/``).
 
 The scorer hosts its monitors in a
 :class:`~repro.monitors.registry.MonitorRegistry`, so several families
-(standard + robust, ensembles, class-conditional dispatchers) serve side by
+(standard + robust, per-layer, class-conditional dispatchers) serve side by
 side over one network, and members can be added or retired mid-stream.
 """
 

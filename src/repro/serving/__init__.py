@@ -14,7 +14,7 @@ package takes the same contract across process and machine boundaries:
   :class:`~repro.service.streaming.FrontEnd` core; crashed workers restart
   and the batches they held are re-sent;
 - :class:`~repro.serving.ScoringServer` / :class:`~repro.serving.ScoringClient`
-  — the TCP face and its pipelining clients (blocking and asyncio).
+  — the TCP face and its pipelining client.
 
 Verdicts over the wire are bit-identical to offline
 :meth:`~repro.monitors.base.Monitor.warn_batch` — workers load the same
@@ -25,7 +25,6 @@ from .._lazy import lazy_exports
 
 #: Every public name and the module it is read from on first use.
 _EXPORTS = {
-    "AsyncScoringClient": "client",
     "DEFAULT_MAX_PAYLOAD": "protocol",
     "DeploymentBundle": "artifacts",
     "Frame": "protocol",

@@ -1,4 +1,4 @@
-"""Clients for the scoring protocol: blocking (pipelined) and asyncio.
+"""The client of the scoring protocol: blocking calls, pipelined futures.
 
 :class:`ScoringClient` is the deployment-side handle: producers on another
 process or machine call :meth:`ScoringClient.score` (blocking) or keep many
@@ -10,13 +10,12 @@ in-flight future with :class:`~repro.exceptions.RemoteScoringError` and, by
 default, the next call transparently reconnects — a restarted server is a
 transient, not an outage (pinned by the reconnect tests).
 
-:class:`AsyncScoringClient` speaks the same protocol over asyncio streams
-for event-loop producers; one connection, same pipelining, ``await``-shaped.
+Event-loop producers await the same futures:
+``await asyncio.wrap_future(client.score_async(frames))``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import socket
 import threading
@@ -28,11 +27,11 @@ import numpy as np
 from ..exceptions import ProtocolError, RemoteScoringError
 from . import protocol
 
-__all__ = ["AsyncScoringClient", "ScoringClient"]
+__all__ = ["ScoringClient"]
 
 
 def _settle(future, frame: protocol.Frame) -> None:
-    """Resolve a request's future (threaded or asyncio) from its response.
+    """Resolve a request's future from its response.
 
     A response that cannot be decoded, or whose type answers no request,
     fails that future with :class:`~repro.exceptions.ProtocolError`; it is
@@ -305,142 +304,4 @@ class ScoringClient:
         request = {} if name is None else {"name": str(name)}
         return self._call(
             protocol.FrameType.SHADOW_REPORT, protocol.encode_json(request), timeout
-        )
-
-
-class AsyncScoringClient:
-    """Asyncio counterpart of :class:`ScoringClient` (same wire protocol)."""
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        max_payload: int = protocol.DEFAULT_MAX_PAYLOAD,
-    ) -> None:
-        self.address = (str(address[0]), int(address[1]))
-        self.max_payload = int(max_payload)
-        self._reader_task: Optional[asyncio.Task] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._ids = itertools.count(1)
-
-    async def connect(self) -> "AsyncScoringClient":
-        if self._writer is not None:
-            return self
-        try:
-            reader, writer = await asyncio.open_connection(*self.address)
-        except OSError as exc:
-            raise RemoteScoringError(
-                f"cannot connect to {self.address[0]}:{self.address[1]}: {exc}"
-            ) from exc
-        self._writer = writer
-        self._reader_task = asyncio.ensure_future(self._read_loop(reader))
-        return self
-
-    async def close(self) -> None:
-        writer, self._writer = self._writer, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):  # pragma: no cover
-                pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        self._fail_pending(RemoteScoringError("client closed"))
-
-    async def __aenter__(self) -> "AsyncScoringClient":
-        return await self.connect()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-    def _fail_pending(self, error: Exception) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(error)
-
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        decoder = protocol.FrameDecoder(max_payload=self.max_payload)
-        error: Exception = RemoteScoringError("connection lost")
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    future = self._pending.pop(frame.request_id, None)
-                    if future is not None and not future.done():
-                        _settle(future, frame)
-        except ProtocolError as exc:
-            error = exc
-        except asyncio.CancelledError:
-            raise
-        except OSError:
-            pass
-        self._writer = None
-        self._fail_pending(error)
-
-    async def _request(self, frame_type: protocol.FrameType, payload: bytes):
-        if self._writer is None:
-            await self.connect()
-        request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        writer = self._writer
-        try:
-            writer.write(protocol.encode_frame(frame_type, request_id, payload))
-            await writer.drain()
-        except OSError as exc:
-            self._pending.pop(request_id, None)
-            if future.done():
-                future.exception()  # failed by the reader too: mark it seen
-            else:
-                future.cancel()
-            if self._writer is writer:
-                self._writer = None
-            raise RemoteScoringError(f"send failed: {exc}") from exc
-        return await future
-
-    async def score(self, frames: np.ndarray) -> Dict[str, np.ndarray]:
-        return await self._request(
-            protocol.FrameType.SCORE, protocol.encode_score_request(frames)
-        )
-
-    async def ping(self) -> bytes:
-        return await self._request(protocol.FrameType.PING, b"ping")
-
-    async def stats(self) -> dict:
-        return await self._request(protocol.FrameType.STATS, b"")
-
-    async def lifecycle_status(self) -> dict:
-        return await self._request(protocol.FrameType.LIFECYCLE_STATUS, b"")
-
-    async def promote(
-        self, name: str, guard: bool = True, watch_budget: Optional[float] = None
-    ) -> dict:
-        request: dict = {"name": str(name), "guard": bool(guard)}
-        if watch_budget is not None:
-            request["watch_budget"] = float(watch_budget)
-        return await self._request(
-            protocol.FrameType.PROMOTE, protocol.encode_json(request)
-        )
-
-    async def rollback(self, name: str, version: Optional[int] = None) -> dict:
-        request: dict = {"name": str(name)}
-        if version is not None:
-            request["version"] = int(version)
-        return await self._request(
-            protocol.FrameType.ROLLBACK, protocol.encode_json(request)
-        )
-
-    async def shadow_report(self, name: Optional[str] = None) -> dict:
-        request = {} if name is None else {"name": str(name)}
-        return await self._request(
-            protocol.FrameType.SHADOW_REPORT, protocol.encode_json(request)
         )

@@ -144,12 +144,12 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 version = manager.promote(
                     name,
                     guard=bool(request.get("guard", True)),
-                    watch_budget=request.get("watch_budget"),
+                    watch_budget=self._request_field(request, "watch_budget", (int, float)),
                 )
                 reply = {"name": name, "version": version}
             else:  # ROLLBACK
                 name = self._request_name(request)
-                version = manager.rollback(name, request.get("version"))
+                version = manager.rollback(name, self._request_field(request, "version", int))
                 reply = {"name": name, "version": version}
         except ReproError as exc:
             self._send_error(frame.request_id, exc)
@@ -168,6 +168,14 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 "lifecycle request payload must carry a monitor 'name'"
             )
         return name
+
+    @staticmethod
+    def _request_field(request: dict, key: str, types):
+        """``request[key]`` when absent (``None``) or of ``types``; bools refused."""
+        value = request.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ProtocolError(f"lifecycle request field '{key}' has the wrong type")
+        return value
 
     def _handle_score(self, frame: protocol.Frame) -> None:
         request_id = frame.request_id

@@ -67,10 +67,11 @@ class BatchedBox:
     """``N`` axis-aligned boxes stored as ``(N, d)`` lower/upper matrices.
 
     Row ``i`` is the box ``{x : lows[i] <= x <= highs[i]}``.  Every transformer
-    acts on all rows at once; the arithmetic per row is identical to
-    :class:`~repro.symbolic.interval.Box`, so the batched result matches the
-    single-sample result row-for-row.  The constructor checks caller bounds;
-    transformers build their (ordered) results through :meth:`_ordered`.
+    acts on all rows at once; the arithmetic per row is the seed single-box
+    interval rule (``tests/oracles/symbolic.py``), so the batched result
+    matches the single-sample result row-for-row.  The constructor checks
+    caller bounds; transformers build their (ordered) results through
+    :meth:`_ordered`.
     """
 
     def __init__(self, lows: np.ndarray, highs: np.ndarray) -> None:
@@ -103,12 +104,6 @@ class BatchedBox:
             raise ShapeError("box radius must be non-negative")
         return cls(centers - radius_arr, centers + radius_arr)
 
-    @classmethod
-    def from_points(cls, points: np.ndarray) -> "BatchedBox":
-        """Degenerate boxes: one point per row."""
-        points = _as_bound_matrix(points, "points")
-        return cls(points, np.array(points, copy=True))
-
     # ------------------------------------------------------------------
     @property
     def batch_size(self) -> int:
@@ -129,10 +124,6 @@ class BatchedBox:
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(lows, highs)`` copies as plain ``(N, d)`` arrays."""
         return np.array(self.lows, copy=True), np.array(self.highs, copy=True)
-
-    def row(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(low, high)`` pair of one batch row."""
-        return self.lows[index], self.highs[index]
 
     # ------------------------------------------------------------------
     def affine(self, weights: np.ndarray, bias: np.ndarray) -> "BatchedBox":
@@ -161,19 +152,6 @@ class BatchedBox:
         a = self.lows * scale + shift
         b = self.highs * scale + shift
         return BatchedBox._ordered(b, a) if scale < 0 else BatchedBox._ordered(a, b)
-
-    # ------------------------------------------------------------------
-    def contains_points(self, points: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
-        """Row-wise membership: does ``points[i]`` lie inside box ``i``?"""
-        points = _as_bound_matrix(points, "points")
-        if points.shape != self.lows.shape:
-            raise ShapeError(
-                f"points shape {points.shape} does not match batched box shape "
-                f"{self.lows.shape}"
-            )
-        inside_low = points >= self.lows - tolerance
-        inside_high = points <= self.highs + tolerance
-        return np.all(inside_low & inside_high, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BatchedBox(batch={self.batch_size}, dimension={self.dimension})"

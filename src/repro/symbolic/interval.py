@@ -2,10 +2,10 @@
 
 The box domain is the abstraction the paper's implementation uses for the
 perturbation estimate (interval bound propagation, reference [3]).  A box is
-stored as a pair of numpy vectors ``(low, high)`` and supports the interval
-arithmetic needed to propagate soundly through affine layers and monotone
-activations, plus the set operations used by tests and monitors (membership,
-join, intersection, sampling).
+stored as a pair of numpy vectors ``(low, high)``: the single-sample input
+and result type of the layer walk, whose interval arithmetic runs on
+:class:`~repro.symbolic.batched.BatchedBox`.  It supports membership, join
+and sampling.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ class Box:
         """Degenerate box containing a single point."""
         return cls.from_center(point, 0.0)
 
-    @classmethod
-    def hull_of_points(cls, points: np.ndarray) -> "Box":
-        """Smallest box containing every row of ``points``."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return cls(points.min(axis=0), points.max(axis=0))
-
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
@@ -87,13 +81,6 @@ class Box:
         """Total width (L1 size) — a scalar precision measure used in benches."""
         return float(np.sum(self.widths))
 
-    def max_width(self) -> float:
-        return float(np.max(self.widths)) if self.dimension else 0.0
-
-    def is_degenerate(self, tolerance: float = 0.0) -> bool:
-        """True when every dimension has width at most ``tolerance``."""
-        return bool(np.all(self.widths <= tolerance))
-
     # ------------------------------------------------------------------
     # set operations
     # ------------------------------------------------------------------
@@ -109,68 +96,11 @@ class Box:
             np.all(point >= self.low - tolerance) and np.all(point <= self.high + tolerance)
         )
 
-    def contains_box(self, other: "Box", tolerance: float = 1e-9) -> bool:
-        """True when ``other`` is entirely inside this box."""
-        return bool(
-            np.all(other.low >= self.low - tolerance)
-            and np.all(other.high <= self.high + tolerance)
-        )
-
     def join(self, other: "Box") -> "Box":
         """Smallest box containing both boxes (the lattice join)."""
         if other.dimension != self.dimension:
             raise ShapeError("cannot join boxes of different dimensions")
         return Box(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
-
-    def intersect(self, other: "Box") -> Optional["Box"]:
-        """Intersection of two boxes, or ``None`` when they are disjoint."""
-        if other.dimension != self.dimension:
-            raise ShapeError("cannot intersect boxes of different dimensions")
-        low = np.maximum(self.low, other.low)
-        high = np.minimum(self.high, other.high)
-        if np.any(low > high):
-            return None
-        return Box(low, high)
-
-    def widen(self, amount: "float | np.ndarray") -> "Box":
-        """Enlarge the box by ``amount`` on every side."""
-        amount_arr = np.broadcast_to(
-            np.asarray(amount, dtype=np.float64), self.low.shape
-        )
-        if np.any(amount_arr < 0):
-            raise ShapeError("widening amount must be non-negative")
-        return Box(self.low - amount_arr, self.high + amount_arr)
-
-    # ------------------------------------------------------------------
-    # arithmetic (interval arithmetic on the whole vector)
-    # ------------------------------------------------------------------
-    def affine(self, weights: np.ndarray, bias: np.ndarray) -> "Box":
-        """Exact box image under ``x -> x @ weights + bias``."""
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if weights.shape[0] != self.dimension:
-            raise ShapeError(
-                f"weight rows {weights.shape[0]} do not match box dimension "
-                f"{self.dimension}"
-            )
-        center = self.center @ weights + bias
-        radius = self.radius @ np.abs(weights)
-        return Box(center - radius, center + radius)
-
-    def elementwise_monotone(self, function) -> "Box":
-        """Image under an elementwise monotone non-decreasing ``function``."""
-        return Box(function(self.low), function(self.high))
-
-    def scale(self, factor: float) -> "Box":
-        """Image under multiplication by a scalar ``factor``."""
-        a = self.low * factor
-        b = self.high * factor
-        return Box(np.minimum(a, b), np.maximum(a, b))
-
-    def translate(self, offset: np.ndarray) -> "Box":
-        """Image under translation by ``offset``."""
-        offset = np.asarray(offset, dtype=np.float64).reshape(-1)
-        return Box(self.low + offset, self.high + offset)
 
     # ------------------------------------------------------------------
     # sampling & iteration
@@ -182,25 +112,6 @@ class Box:
         if rng is None:
             rng = np.random.default_rng()
         return rng.uniform(self.low, self.high, size=(count, self.dimension))
-
-    def corners(self, limit: int = 1024) -> Iterator[np.ndarray]:
-        """Iterate over box corners (capped at ``limit`` to avoid blow-up)."""
-        dims = self.dimension
-        total = 1 << dims if dims < 31 else limit + 1
-        emitted = 0
-        for index in range(min(total, limit)):
-            corner = np.where(
-                [(index >> d) & 1 for d in range(dims)], self.high, self.low
-            )
-            yield corner.astype(np.float64)
-            emitted += 1
-            if emitted >= limit:
-                return
-
-    # ------------------------------------------------------------------
-    def as_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(low, high)`` copies as plain arrays."""
-        return np.array(self.low, copy=True), np.array(self.high, copy=True)
 
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         for lo, hi in zip(self.low, self.high):

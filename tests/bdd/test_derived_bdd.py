@@ -21,6 +21,7 @@ from repro.monitors.quantitative import PatternDistanceMonitor
 from repro.monitors.registry import MonitorRegistry
 from repro.runtime import PackedMatcher, WordCodec
 
+from ..oracles.bdd import within_hamming_bdd
 from .test_minimal_mirror import planes
 
 GAMMAS = (0, 1, 2)
@@ -30,7 +31,7 @@ LAYER = 4
 def bdd_distance(patterns, word, limit):
     """Smallest radius ≤ ``limit`` the BDD search accepts, else ``limit + 1``."""
     for radius in range(limit + 1):
-        if patterns._within_hamming_bdd(list(word), radius):
+        if within_hamming_bdd(patterns, list(word), radius):
             return radius
     return limit + 1
 

@@ -1,6 +1,7 @@
 """Tests for the ROBDD manager: canonicity, Boolean algebra, counting."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -74,38 +75,33 @@ class TestBooleanAlgebra:
         right = manager.apply_or(manager.negate(x), manager.negate(y))
         assert left == right
 
-    def test_xor_truth_table(self):
-        manager = BDDManager(2)
-        f = manager.apply_xor(manager.var(0), manager.var(1))
-        table = brute_force_truth_table(manager, f, 2)
-        assert table == {
-            (False, False): False,
-            (False, True): True,
-            (True, False): True,
-            (True, True): False,
-        }
-
-    def test_implies_truth_table(self):
-        manager = BDDManager(2)
-        f = manager.apply_implies(manager.var(0), manager.var(1))
-        table = brute_force_truth_table(manager, f, 2)
-        assert table[(True, False)] is False
-        assert all(value for key, value in table.items() if key != (True, False))
-
-    def test_conjoin_and_disjoin(self):
+    def test_disjoin(self):
         manager = BDDManager(3)
         literals = [manager.var(i) for i in range(3)]
-        conj = manager.conjoin(literals)
         disj = manager.disjoin(literals)
-        assert manager.evaluate(conj, [True, True, True])
-        assert not manager.evaluate(conj, [True, False, True])
         assert manager.evaluate(disj, [False, True, False])
         assert not manager.evaluate(disj, [False, False, False])
 
-    def test_conjoin_empty_is_true_disjoin_empty_is_false(self):
+    def test_disjoin_empty_is_false(self):
         manager = BDDManager(1)
-        assert manager.conjoin([]) == TRUE
         assert manager.disjoin([]) == FALSE
+
+    def test_disjoin_balanced_empty_is_false(self):
+        manager = BDDManager(2)
+        assert manager.disjoin_balanced([]) == FALSE
+        assert manager.disjoin_balanced([FALSE, FALSE]) == FALSE
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 9))
+    def test_disjoin_balanced_matches_disjoin(self, seed, count):
+        """The tournament-style union is the same canonical node as the fold."""
+        rng = np.random.default_rng(seed)
+        manager = BDDManager(5)
+        cubes = [
+            manager.cube({var: bool(rng.integers(2)) for var in range(5) if rng.random() < 0.6})
+            for _ in range(count)
+        ]
+        assert manager.disjoin_balanced(cubes) == manager.disjoin(cubes)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -120,8 +116,8 @@ class TestBooleanAlgebra:
             manager.var(i) if rng.random() < 0.5 else manager.nvar(i) for i in range(4)
         ]
         order = rng.permutation(4)
-        f = manager.conjoin([literals[i] for i in range(4)])
-        g = manager.conjoin([literals[i] for i in order])
+        f = reduce(manager.apply_and, [literals[i] for i in range(4)])
+        g = reduce(manager.apply_and, [literals[i] for i in order])
         assert f == g
         expected = all(
             (assignment[i] if manager.node(literals[i])[2] == TRUE else not assignment[i])
@@ -141,12 +137,6 @@ class TestRestrictAndQuantify:
         manager = BDDManager(2)
         f = manager.apply_and(manager.var(0), manager.var(1))
         assert manager.exists(f, [0]) == manager.var(1)
-
-    def test_forall_requires_both_branches(self):
-        manager = BDDManager(2)
-        f = manager.apply_or(manager.var(0), manager.var(1))
-        # For all x0: (x0 or x1) holds only when x1 holds.
-        assert manager.forall(f, [0]) == manager.var(1)
 
     def test_exists_of_tautology_in_variable(self):
         manager = BDDManager(1)
@@ -236,9 +226,60 @@ class TestCubes:
         assert manager.dag_size(TRUE) == 0
         assert manager.dag_size(FALSE) == 0
 
-    def test_clear_caches_keeps_semantics(self):
-        manager = BDDManager(3)
-        f = manager.apply_and(manager.var(0), manager.var(1))
-        manager.clear_caches()
-        g = manager.apply_and(manager.var(0), manager.var(1))
-        assert f == g
+
+def code_of(assignment, block, bits):
+    """The code block ``block`` takes under ``assignment`` (MSB first)."""
+    code = 0
+    for bit in assignment[block * bits:(block + 1) * bits]:
+        code = 2 * code + int(bit)
+    return code
+
+
+class TestCodeSets:
+    """``code_sets``: the multi-bit ``word2set`` behind range insertion."""
+
+    def test_code_sets_cartesian_product(self):
+        manager = BDDManager(6)
+        sets = [{0, 1}, {2}, {1, 2, 3}]
+        ref = manager.code_sets(sets, bits=2)
+        assert manager.count_solutions_exact(ref) == 2 * 1 * 3
+        for assignment, value in brute_force_truth_table(manager, ref, 6).items():
+            codes = [code_of(assignment, block, 2) for block in range(3)]
+            assert value == all(code in allowed for code, allowed in zip(codes, sets))
+
+    def test_full_code_set_is_unconstrained(self):
+        manager = BDDManager(4)
+        ref = manager.code_sets([{0, 1, 2, 3}, {1}], bits=2)
+        assert ref == manager.cube({2: False, 3: True})
+        assert manager.count_solutions_exact(ref) == 4
+
+    def test_empty_code_set_is_false(self):
+        manager = BDDManager(4)
+        assert manager.code_sets([{0}, set()], bits=2) == FALSE
+
+    def test_code_set_out_of_range_rejected(self):
+        manager = BDDManager(2)
+        with pytest.raises(ConfigurationError, match="do not fit"):
+            manager.code_sets([{0, 2}, {1}], bits=1)
+
+    def test_too_many_code_sets_rejected(self):
+        manager = BDDManager(4)
+        with pytest.raises(ConfigurationError, match="exceed"):
+            manager.code_sets([{0}, {1}, {2}], bits=2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sets=st.lists(
+            st.sets(st.integers(0, 3), min_size=1, max_size=4), min_size=3, max_size=3
+        ),
+        probe=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_code_set_membership_property(self, sets, probe):
+        """Any code set — contiguous or not — is stored exactly."""
+        manager = BDDManager(6)
+        ref = manager.code_sets(sets, bits=2)
+        codes = [code_of(probe, block, 2) for block in range(3)]
+        assert manager.evaluate(ref, probe) == all(
+            code in allowed for code, allowed in zip(codes, sets)
+        )
+        assert manager.count_solutions_exact(ref) == int(np.prod([len(s) for s in sets]))

@@ -8,16 +8,20 @@ serialization formats, and the lazily built BDD
 must be the very one an eager, unpruned build of every inserted row gives.
 """
 
+from functools import reduce
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd.manager import BDDManager
+from repro.bdd.manager import TRUE, BDDManager
 from repro.bdd.patterns import PatternSet
 from repro.runtime import PackedMatcher, WordCodec
 from repro.runtime import matcher as matcher_module
 from repro.runtime.codec import TernaryPlanes
 from repro.runtime.packing import pack_bool_matrix, unpack_bool_matrix
+
+from ..oracles.bdd import within_hamming_bdd
 
 
 def planes(values, masks):
@@ -221,8 +225,10 @@ class ReferenceBDD:
         return self.manager.disjoin(alternatives)
 
     def add_code_sets(self, code_sets):
-        row = self.manager.conjoin(
-            self._position(position, codes) for position, codes in enumerate(code_sets)
+        row = reduce(
+            self.manager.apply_and,
+            (self._position(position, codes) for position, codes in enumerate(code_sets)),
+            TRUE,
         )
         self.root = self.manager.apply_or(self.root, row)
 
@@ -243,7 +249,7 @@ def operations(draw):
         rng = np.random.default_rng(seed)
         low = rng.integers(0, num_codes, size=(rows, num_positions))
         high = np.minimum(low + rng.integers(0, num_codes, size=low.shape), num_codes - 1)
-        # Contiguous, the only kind add_code_sets accepts.
+        # One row of contiguous code sets, inserted as a one-row code range.
         firsts = rng.integers(0, num_codes, size=num_positions)
         lasts = rng.integers(firsts, num_codes)
         sets = [list(range(a, b + 1)) for a, b in zip(firsts.tolist(), lasts.tolist())]
@@ -259,6 +265,11 @@ def operations(draw):
             # The other set of a union sometimes holds a code-set row too.
             ops.append(("union", (low, high, sets if rows % 2 else None)))
     return num_positions, bits, ops
+
+
+def code_set_range(sets):
+    """One row of contiguous code sets as ``(low, high)`` code matrices."""
+    return np.array([[codes[0] for codes in sets]]), np.array([[codes[-1] for codes in sets]])
 
 
 def apply(op, patterns, reference):
@@ -278,14 +289,14 @@ def apply(op, patterns, reference):
         for value, mask in zip(values, masks):
             reference.add_code_sets([[int(v)] if m else [0, 1] for v, m in zip(value, mask)])
     elif kind == "code_sets":
-        patterns.add_code_sets(payload)
+        patterns.add_range_patterns(*code_set_range(payload))
         reference.add_code_sets(payload)
     else:
         low, high, sets = payload
         other = PatternSet(patterns.num_positions, patterns.bits_per_position)
         other.add_range_patterns(low, high)
         if sets is not None:
-            other.add_code_sets(sets)
+            other.add_range_patterns(*code_set_range(sets))
             reference.add_code_sets(sets)
         patterns.union(other)
         for lo, hi in zip(low, high):
@@ -316,7 +327,7 @@ def test_random_interleavings_keep_a_minimal_exact_mirror(case):
     sample = probes[:: max(1, probes.shape[0] // 8)]
     for gamma in (0, 1):
         within = patterns.min_distance_batch(sample, gamma) <= gamma
-        oracle = [patterns._within_hamming_bdd(list(word), gamma) for word in sample]
+        oracle = [within_hamming_bdd(patterns, list(word), gamma) for word in sample]
         assert within.tolist() == oracle
 
     # The pruned build is the unpruned one, node for node.

@@ -124,60 +124,65 @@ class TestMultiBitCodeSets:
         assert not patterns.contains([0, 3])
         assert patterns.cardinality() == 1
 
-    def test_code_sets_cartesian_product(self):
+    def test_code_ranges_cartesian_product(self):
         patterns = PatternSet(3, bits_per_position=2)
-        patterns.add_code_sets([{0, 1}, {2}, {1, 2, 3}])
+        patterns.add_range_patterns(np.array([[0, 2, 1]]), np.array([[1, 2, 3]]))
         assert patterns.cardinality() == 2 * 1 * 3
         for codes in itertools.product([0, 1], [2], [1, 2, 3]):
             assert patterns.contains(list(codes))
         assert not patterns.contains([2, 2, 1])
 
-    def test_full_code_set_is_unconstrained(self):
+    def test_full_code_range_is_unconstrained(self):
         patterns = PatternSet(2, bits_per_position=2)
-        patterns.add_code_sets([{0, 1, 2, 3}, {1}])
+        patterns.add_range_patterns(np.array([[0, 1]]), np.array([[3, 1]]))
         assert patterns.cardinality() == 4
 
-    def test_code_set_bdd_stays_small(self):
-        """Cartesian products of code sets are stored without enumeration."""
+    def test_code_range_bdd_stays_small(self):
+        """Cartesian products of code ranges are stored without enumeration."""
         positions = 24
         patterns = PatternSet(positions, bits_per_position=2)
-        patterns.add_code_sets([{1, 2}] * positions)
+        patterns.add_range_patterns(np.full((1, positions), 1), np.full((1, positions), 2))
         assert patterns.cardinality() == 2**positions
         assert patterns.dag_size() <= 3 * positions
 
-    def test_empty_code_set_rejected(self):
+    def test_wrong_number_of_code_ranges_rejected(self):
         patterns = PatternSet(2, bits_per_position=2)
-        with pytest.raises(ConfigurationError):
-            patterns.add_code_sets([{0}, set()])
+        with pytest.raises(ConfigurationError, match="positions"):
+            patterns.add_range_patterns(np.array([[0]]), np.array([[1]]))
 
-    def test_wrong_number_of_code_sets_rejected(self):
-        patterns = PatternSet(2, bits_per_position=2)
-        with pytest.raises(ConfigurationError):
-            patterns.add_code_sets([{0}])
-
-    def test_code_set_out_of_range_rejected(self):
+    def test_code_range_out_of_range_rejected(self):
         patterns = PatternSet(2, bits_per_position=1)
         with pytest.raises(ConfigurationError):
-            patterns.add_code_sets([{0, 2}, {1}])
+            patterns.add_range_patterns(np.array([[0, 1]]), np.array([[2, 1]]))
+
+    def test_low_high_shape_mismatch_rejected(self):
+        patterns = PatternSet(2, bits_per_position=2)
+        with pytest.raises(ConfigurationError, match="share a shape"):
+            patterns.add_range_patterns(np.zeros((2, 2), dtype=int), np.ones((1, 2), dtype=int))
+
+    def test_refused_range_insertion_changes_nothing(self):
+        patterns = PatternSet(2, bits_per_position=2)
+        patterns.add_word([1, 2])
+        with pytest.raises(ConfigurationError):
+            patterns.add_range_patterns(np.array([[0, 0], [3, 1]]), np.array([[1, 1], [2, 1]]))
+        assert patterns.insertions == 1
+        assert patterns.cardinality() == 1
+        assert patterns.contains([1, 2]) and not patterns.contains([0, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(
-        sets=st.lists(
-            st.sets(st.integers(0, 3), min_size=1, max_size=4), min_size=3, max_size=3
+        ranges=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted), min_size=3, max_size=3
         ),
         probe=st.lists(st.integers(0, 3), min_size=3, max_size=3),
     )
-    def test_code_set_membership_property(self, sets, probe):
+    def test_code_range_membership_property(self, ranges, probe):
         patterns = PatternSet(3, bits_per_position=2)
-        if any(max(codes) - min(codes) + 1 != len(codes) for codes in sets):
-            with pytest.raises(ConfigurationError, match="non-contiguous"):
-                patterns.add_code_sets(sets)
-            assert patterns.is_empty() and patterns.insertions == 0
-            return
-        patterns.add_code_sets(sets)
-        expected = all(code in allowed for code, allowed in zip(probe, sets))
+        low, high = np.array(ranges).T
+        patterns.add_range_patterns(low[None], high[None])
+        expected = all(lo <= code <= hi for code, (lo, hi) in zip(probe, ranges))
         assert patterns.contains(probe) == expected
-        assert patterns.cardinality() == int(np.prod([len(s) for s in sets]))
+        assert patterns.cardinality() == int(np.prod([hi - lo + 1 for lo, hi in ranges]))
 
 
 class TestHammingRelaxation:

@@ -88,21 +88,19 @@ class TestBulkTernaryInsertion:
 
 
 class TestBulkRangeInsertion:
-    def test_range_patterns_match_code_sets(self):
+    def test_bulk_ranges_match_row_by_row(self):
         rng = np.random.default_rng(3)
         low = rng.integers(0, 3, size=(12, 6))
         high = low + rng.integers(0, 2, size=(12, 6))
         bulk = PatternSet(6, bits_per_position=2)
         bulk.add_range_patterns(low, high)
-        via_sets = PatternSet(6, bits_per_position=2)
+        by_row = PatternSet(6, bits_per_position=2)
         for low_row, high_row in zip(low, high):
-            via_sets.add_code_sets(
-                [set(range(lo, hi + 1)) for lo, hi in zip(low_row, high_row)]
-            )
-        assert bulk.cardinality() == via_sets.cardinality()
+            by_row.add_range_patterns(low_row[None], high_row[None])
+        assert bulk.cardinality() == by_row.cardinality()
         probes = rng.integers(0, 4, size=(250, 6))
         np.testing.assert_array_equal(
-            bulk.contains_batch(probes), via_sets.contains_batch(probes)
+            bulk.contains_batch(probes), by_row.contains_batch(probes)
         )
         np.testing.assert_array_equal(
             bulk.contains_batch(probes), _brute_membership(bulk, probes)
@@ -117,23 +115,6 @@ class TestBulkRangeInsertion:
 
 
 class TestBatchMembershipFallback:
-    def test_non_contiguous_code_sets_still_answer(self):
-        """A refused non-contiguous code set leaves the set answering exactly.
-
-        The mirror holds only contiguous code sets, so the insertion is
-        refused; the words stored before it still answer from the mirror.
-        """
-        rng = np.random.default_rng(4)
-        patterns = PatternSet(4, bits_per_position=2)
-        patterns.add_word([0, 1, 2, 3])
-        with pytest.raises(ConfigurationError, match="position 0 has a non-contiguous"):
-            patterns.add_code_sets([{0, 3}, {1}, {0, 2}, {1, 2}])
-        assert patterns.insertions == 1
-        probes = rng.integers(0, 4, size=(256, 4))
-        np.testing.assert_array_equal(
-            patterns.contains_batch(probes), _brute_membership(patterns, probes)
-        )
-
     def test_union_keeps_batch_queries_exact(self):
         rng = np.random.default_rng(5)
         left = PatternSet(5)

@@ -1,7 +1,5 @@
 """Tests for Δ-bounded input perturbation samplers."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from repro.data.perturbations import (
     corner_perturbations,
     gaussian_perturbations,
     perturb_dataset_inputs,
-    perturbation_stream,
     uniform_perturbations,
 )
 from repro.exceptions import DataError
@@ -78,8 +75,3 @@ class TestDatasetPerturbation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):
             perturb_dataset_inputs(np.zeros((2, 2)), 0.1, kind="adversarial")
-
-    def test_stream_yields_bounded_perturbations(self):
-        stream = perturbation_stream(np.zeros(3), 0.2, rng=np.random.default_rng(0))
-        for sample in itertools.islice(stream, 10):
-            assert np.all(np.abs(sample) <= 0.2 + 1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import LifecycleStateError
+from repro.exceptions import ConfigurationError, LifecycleStateError
 from repro.lifecycle import (
     STATE_CANDIDATE,
     STATE_LIVE,
@@ -125,6 +125,35 @@ def test_watch_breach_rolls_back_automatically(
     assert served == live_monitor.warn_batch(probe_frames).tolist()
     kinds = [e["kind"] for e in scorer.stats.snapshot()["events"]]
     assert "watch_breach" in kinds and "rollback" in kinds
+
+
+@pytest.mark.parametrize(
+    "watch",
+    [
+        {"watch_budget": 1.5},
+        {"watch_budget": -0.1},
+        {"watch_budget": float("nan")},
+        {"watch_budget": True},
+        {"watch_budget": "0.5"},
+        {"watch_budget": 0.2, "watch_frames": 0},
+    ],
+    ids=["above-one", "negative", "nan", "bool", "str", "no-frames"],
+)
+@pytest.mark.parametrize("shadow", [False, True])
+def test_refused_watch_changes_nothing(
+    manager, scorer, live_monitor, candidate_monitor, watch, shadow
+):
+    manager.stage("mon", candidate_monitor, shadow=shadow)
+    shadows = scorer.shadow_names()
+    with pytest.raises(ConfigurationError, match="watch_"):
+        manager.promote("mon", guard=False, **watch)
+    assert manager.live_version("mon") == 1
+    assert manager.state("mon", 1) == STATE_LIVE
+    assert scorer.registry.get("mon") is live_monitor
+    assert manager.staged_version("mon") == 2
+    assert manager.state("mon", 2) == (STATE_SHADOW if shadow else STATE_CANDIDATE)
+    assert scorer.shadow_names() == shadows
+    assert manager.promote("mon", guard=False) == 2  # still promotable
 
 
 def test_refit_and_stage_archives_a_refit_version(

@@ -3,7 +3,7 @@
 There is one kernel, ``repro.runtime.kernels.KERNEL``, and matchers read it
 (as ``repro.runtime.matcher.KERNEL``) at query time.  These tests pin that
 every construction path — constructor, bound engine, environment, refit,
-ensemble / class-conditional / registry / streaming fan-out, serialisation
+class-conditional / registry / streaming fan-out, serialisation
 reload — ends up dispatching to it without a verdict changing, and that the
 per-monitor back-end knobs once threaded through these paths stay gone.
 """
@@ -13,7 +13,6 @@ import pytest
 
 from repro.monitors.boolean import BooleanPatternMonitor
 from repro.monitors.builder import ClassConditionalMonitor, MonitorBuilder
-from repro.monitors.ensemble import MonitorEnsemble
 from repro.monitors.interval import IntervalPatternMonitor
 from repro.monitors.minmax import MinMaxMonitor
 from repro.monitors.registry import MonitorRegistry
@@ -23,6 +22,7 @@ from repro.runtime.engine import BatchScoringEngine
 from repro.runtime.kernels import KERNEL, NumpyMatcherKernel
 from repro.service.streaming import StreamingScorer
 
+from ..oracles.bdd import within_hamming_bdd
 from ..oracles.serialization import save_monitor_format1
 
 
@@ -58,7 +58,7 @@ def bdd_warnings(monitor, inputs):
     """Boolean-monitor verdicts from the BDD oracle, word by word."""
     features = monitor.features(inputs)
     return np.array(
-        [not monitor.patterns._within_hamming_bdd(monitor._word(row), 0) for row in features]
+        [not within_hamming_bdd(monitor.patterns, monitor._word(row), 0) for row in features]
     )
 
 
@@ -154,25 +154,6 @@ class TestEngineSuggestion:
 
 
 class TestFanOut:
-    def test_ensemble_threads_backend_to_members(
-        self, tiny_network, tiny_inputs, probe_inputs, spy
-    ):
-        """Every pattern member of an ensemble scores through the shared kernel."""
-        members = [
-            BooleanPatternMonitor(tiny_network, 1),
-            IntervalPatternMonitor(tiny_network, 1, num_cuts=2),
-            MinMaxMonitor(tiny_network, 1),
-        ]
-        ensemble = MonitorEnsemble(members, vote="any").fit(tiny_inputs)
-        assert not hasattr(ensemble, "set_matcher_backend")
-        spy.calls = 0
-        verdicts = ensemble.warn_batch(probe_inputs)
-        assert spy.calls == 2  # the two pattern members; min-max has no patterns
-        expected = np.zeros(len(probe_inputs), dtype=bool)
-        for member in members:
-            expected |= member.warn_batch(probe_inputs)
-        np.testing.assert_array_equal(verdicts, expected)
-
     def test_class_conditional_applies_and_records(self, trained_digits, spy):
         network, train, _ = trained_digits
         builder = MonitorBuilder("boolean", 1)

@@ -214,23 +214,6 @@ class TestEngineBoundFits:
             monitor.warn_batch(probes), plain.warn_batch(probes)
         )
 
-    def test_ensemble_fit_preserves_caller_binding(self, tiny_network, tiny_inputs):
-        """Ensemble bindings are fit-scoped; caller bindings are kept."""
-        from repro.monitors.ensemble import MonitorEnsemble
-
-        spec = PerturbationSpec(delta=0.01, layer=0, method="box")
-        caller_engine = BatchScoringEngine(tiny_network)
-        bound = RobustMinMaxMonitor(tiny_network, MONITORED_LAYER, spec)
-        bound.bind_engine(caller_engine)
-        unbound = RobustMinMaxMonitor(tiny_network, MONITORED_LAYER, spec)
-        ensemble = MonitorEnsemble([bound, unbound], vote="any")
-        ensemble.fit(tiny_inputs)
-        assert bound._engine is caller_engine
-        # The ensemble's temporary binding was detached after fit.
-        assert unbound._engine is None
-        # The caller's engine saw the bound member's propagation.
-        assert caller_engine.cache.bound_misses == 1
-
     def test_helper_bindings_are_fit_scoped(self, tiny_network, tiny_inputs):
         """build_and_fit binds for the fit only; per-frame scoring stays unbound."""
         spec = PerturbationSpec(delta=0.01, layer=0, method="box")

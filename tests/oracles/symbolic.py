@@ -1,8 +1,10 @@
 """Seed reference versions of the symbolic walk, the star-LP bounds and the
 robust-fit bound collection.
 
-These are the formulations the library started from: a single-sample
-:class:`Zonotope`, a single-sample layer walk (:func:`_propagate_geometric`)
+These are the formulations the library started from: single-box interval
+arithmetic (:func:`box_affine`, :func:`box_elementwise_monotone`), a
+single-sample :class:`Zonotope`, a single-sample layer walk
+(:func:`_propagate_geometric`)
 over a :class:`~repro.symbolic.interval.Box`, a :class:`Zonotope` or a
 :class:`~repro.symbolic.star.StarSet`, one dense ``scipy.optimize.linprog``
 call per dimension per sense for a star's bounds, one Definition-1
@@ -107,10 +109,29 @@ class Zonotope:
         return Zonotope.from_box(Box(*bound_transform(*self.bounds())))
 
 
+def box_affine(box: Box, weights: np.ndarray, bias: np.ndarray) -> Box:
+    """Exact box image under ``x -> x @ weights + bias``."""
+    weights = np.asarray(weights, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if weights.shape[0] != box.dimension:
+        raise ShapeError(
+            f"weight rows {weights.shape[0]} do not match box dimension "
+            f"{box.dimension}"
+        )
+    center = box.center @ weights + bias
+    radius = box.radius @ np.abs(weights)
+    return Box(center - radius, center + radius)
+
+
+def box_elementwise_monotone(box: Box, function) -> Box:
+    """Box image under an elementwise monotone non-decreasing ``function``."""
+    return Box(function(box.low), function(box.high))
+
+
 def _box_layer(layer, box: Box) -> Box:
     """Interval arithmetic of one layer (the seed per-layer box rule)."""
     if isinstance(layer, Dense):
-        return box.affine(layer.weights, layer.bias)
+        return box_affine(box, layer.weights, layer.bias)
     if isinstance(layer, ActivationLayer):
         return Box(*layer.activation.bound_transform(box.low, box.high))
     if isinstance(layer, Scale):
@@ -236,7 +257,7 @@ def star_bounds_loop_batch(
     lows = np.empty((batch, out_dim))
     highs = np.empty((batch, out_dim))
     for index in range(batch):
-        box = Box(*batched_box.row(index))
+        box = Box(batched_box.lows[index], batched_box.highs[index])
         lows[index], highs[index] = propagate_single(
             network, box, from_layer, to_layer, "star", star_lp_backend
         )

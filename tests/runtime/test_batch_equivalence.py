@@ -11,11 +11,11 @@ import pytest
 
 from repro.monitors.boolean import BooleanPatternMonitor, RobustBooleanPatternMonitor
 from repro.monitors.builder import ClassConditionalMonitor, MonitorBuilder
-from repro.monitors.ensemble import MonitorEnsemble
 from repro.monitors.interval import IntervalPatternMonitor, RobustIntervalPatternMonitor
 from repro.monitors.minmax import MinMaxMonitor, RobustMinMaxMonitor
 from repro.monitors.perturbation import PerturbationSpec
 from repro.monitors.quantitative import EnvelopeDistanceMonitor, PatternDistanceMonitor
+from repro.runtime.engine import BatchScoringEngine
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,21 @@ def assert_batch_equals_single(monitor, probes):
     batched = np.asarray(monitor.warn_batch(probes), dtype=bool)
     single = np.array([monitor.warn(row) for row in probes], dtype=bool)
     np.testing.assert_array_equal(batched, single)
+
+
+@pytest.fixture(scope="module")
+def layer_members(tiny_network, tiny_inputs):
+    """Monitors on two layers of one network, the members of a k-of-n vote."""
+    return {
+        "minmax@2": MinMaxMonitor(tiny_network, 2).fit(tiny_inputs),
+        "minmax@4": MinMaxMonitor(tiny_network, 4).fit(tiny_inputs),
+        "boolean@4": BooleanPatternMonitor(tiny_network, 4, thresholds="mean").fit(tiny_inputs),
+    }
+
+
+def layer_vote(warns, k):
+    """A k-of-n vote: the engine's warn dict reduced over its members."""
+    return np.sum(list(warns.values()), axis=0) >= k
 
 
 class TestBatchSingleEquivalence:
@@ -76,16 +91,23 @@ class TestBatchSingleEquivalence:
         ).fit(tiny_inputs)
         assert_batch_equals_single(monitor, probes)
 
-    def test_ensemble(self, tiny_network, tiny_inputs, probes):
-        ensemble = MonitorEnsemble(
-            [
-                MinMaxMonitor(tiny_network, 2),
-                MinMaxMonitor(tiny_network, 4),
-                BooleanPatternMonitor(tiny_network, 4, thresholds="mean"),
-            ],
-            vote="majority",
-        ).fit(tiny_inputs)
-        assert_batch_equals_single(ensemble, probes)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_layer_vote(self, tiny_network, layer_members, probes, k):
+        """One engine pass, reduced k-of-n, equals the vote of single verdicts."""
+        engine = BatchScoringEngine(tiny_network)
+        batched = layer_vote(engine.score_batch(layer_members, probes).warns, k)
+        assert engine.cache.misses == 1
+        single = [
+            sum(monitor.warn(row) for monitor in layer_members.values()) >= k
+            for row in probes
+        ]
+        np.testing.assert_array_equal(batched, single)
+
+    def test_layer_vote_on_training_data_is_silent(
+        self, tiny_network, tiny_inputs, layer_members
+    ):
+        warns = BatchScoringEngine(tiny_network).score_batch(layer_members, tiny_inputs).warns
+        assert not layer_vote(warns, 1).any()
 
     def test_class_conditional(self, trained_digits):
         network, train, test = trained_digits

@@ -6,10 +6,10 @@ frames, stats/ping plumbing, reconnect behaviour — independently of the
 multi-process pool the CI end-to-end leg exercises.
 """
 
+import asyncio
 import socket
 import struct
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -77,6 +77,20 @@ class TestRoundtrip:
             warns = future.result(30)
             np.testing.assert_array_equal(warns["minmax"], monitor.warn_batch(batch))
 
+    def test_asyncio_producers_await_wrapped_futures(self, client, serving_monitors, rng):
+        """The event-loop recipe: ``await asyncio.wrap_future(score_async(...))``."""
+        batches = [rng.normal(size=(n, 6)) for n in (1, 5, 2, 9, 3, 16, 4, 7)]
+
+        async def run():
+            return await asyncio.gather(
+                *(asyncio.wrap_future(client.score_async(batch)) for batch in batches)
+            )
+
+        for batch, warns in zip(batches, asyncio.run(run())):
+            assert set(warns) == set(serving_monitors)
+            for name, monitor in serving_monitors.items():
+                np.testing.assert_array_equal(warns[name], monitor.warn_batch(batch))
+
     def test_concurrent_clients(self, server, serving_monitors, rng):
         errors = []
         monitor = serving_monitors["boolean"]
@@ -140,6 +154,44 @@ class TestTypedErrors:
             # stream: the next read must reach EOF.
             while chunk:
                 chunk = raw.recv(65536)
+
+    @pytest.mark.parametrize(
+        "frame_type, payload",
+        [(FrameType.RESULT, b"\x00"), (FrameType.SCORE, b"")],
+        ids=["malformed-result", "unexpected-type"],
+    )
+    def test_bad_response_fails_the_request_instead_of_hanging(
+        self, frame_type, payload, probe_frames
+    ):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer():
+            # A fake server: every request is answered with the bad frame.
+            peer, _ = listener.accept()
+            decoder = protocol.FrameDecoder()
+            with peer:
+                while True:
+                    chunk = peer.recv(65536)
+                    if not chunk:
+                        break
+                    for frame in decoder.feed(chunk):
+                        peer.sendall(encode_frame(frame_type, frame.request_id, payload))
+
+        responder = threading.Thread(target=answer, daemon=True)
+        responder.start()
+        try:
+            with ScoringClient(listener.getsockname(), timeout=10) as c:
+                with pytest.raises(ProtocolError):
+                    c.score(probe_frames)
+                # The connection survives: the next request is answered on it
+                # (the fake server accepts one connection only).
+                with pytest.raises(ProtocolError):
+                    c.ping()
+                assert c._pending == {}
+                assert c.is_connected
+        finally:
+            listener.close()
+            responder.join(10)
 
     def test_oversized_request_rejected_without_allocation(self, local_scorer):
         with ScoringServer(local_scorer, max_payload=1024) as small_server:
@@ -206,135 +258,28 @@ class TestReconnect:
         finally:
             client.close()
 
+    @pytest.mark.parametrize("auto_reconnect", [True, False])
+    def test_send_on_a_reset_connection_raises_typed_error(self, auto_reconnect, probe_frames):
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = ScoringClient(listener.getsockname(), timeout=5, auto_reconnect=auto_reconnect)
+        try:
+            client.connect()
+            # The server side resets the connection (linger 0 sends RST) and
+            # stops listening, so a reconnect is refused as well.
+            peer, _ = listener.accept()
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            peer.close()
+            listener.close()
+            with pytest.raises(RemoteScoringError):
+                client.score(probe_frames)
+            assert client._pending == {}
+        finally:
+            listener.close()
+            client.close()
+
     def test_closed_client_refuses_requests(self, server):
         client = ScoringClient(server.address)
         client.connect()
         client.close()
         with pytest.raises(RemoteScoringError):
             client.ping()
-
-
-class TestAsyncClient:
-    def test_score_and_ping(self, server, serving_monitors, probe_frames):
-        import asyncio
-
-        from repro.serving import AsyncScoringClient
-
-        async def run():
-            async with AsyncScoringClient(server.address) as client:
-                assert await client.ping() == b"ping"
-                futures = [
-                    asyncio.ensure_future(client.score(probe_frames))
-                    for _ in range(3)
-                ]
-                return await asyncio.gather(*futures)
-
-        all_warns = asyncio.run(run())
-        monitor = serving_monitors["minmax"]
-        expected = monitor.warn_batch(probe_frames)
-        for warns in all_warns:
-            np.testing.assert_array_equal(warns["minmax"], expected)
-
-    def test_stats(self, server):
-        import asyncio
-
-        from repro.serving import AsyncScoringClient
-
-        async def run():
-            async with AsyncScoringClient(server.address) as client:
-                return await client.stats()
-
-        stats = asyncio.run(run())
-        assert "frames_scored" in stats
-
-    def test_refused_dial_raises_typed_error(self):
-        import asyncio
-
-        from repro.serving import AsyncScoringClient
-
-        # A port that was bound and released has no listener: dialing it is
-        # refused at once, deterministically.
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        address = probe.getsockname()
-        probe.close()
-
-        async def run():
-            client = AsyncScoringClient(address)
-            with pytest.raises(RemoteScoringError):
-                await client.connect()
-            await client.close()
-
-        asyncio.run(run())
-
-    def test_send_on_a_reset_connection_raises_typed_error(self, probe_frames):
-        import asyncio
-
-        from repro.serving import AsyncScoringClient
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-
-        async def run():
-            client = AsyncScoringClient(listener.getsockname())
-            await client.connect()
-            # The server side resets the connection (linger 0 sends RST) and
-            # stops listening.  The client does not yield to the event loop
-            # before it scores, so its reader has not seen the reset and the
-            # score writes into the dead socket.
-            peer, _ = listener.accept()
-            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-            peer.close()
-            listener.close()
-            time.sleep(0.05)
-            with pytest.raises(RemoteScoringError):
-                await client.score(probe_frames)
-            assert client._pending == {}
-            await client.close()
-
-        try:
-            asyncio.run(run())
-        finally:
-            listener.close()
-
-    @pytest.mark.parametrize(
-        "frame_type, payload",
-        [(FrameType.RESULT, b"\x00"), (FrameType.SCORE, b"")],
-        ids=["malformed-result", "unexpected-type"],
-    )
-    def test_bad_response_fails_the_request_instead_of_hanging(
-        self, frame_type, payload, probe_frames
-    ):
-        import asyncio
-
-        from repro.serving import AsyncScoringClient
-
-        async def answer(reader, writer):
-            # A fake server: every request is answered with the bad frame.
-            decoder = protocol.FrameDecoder()
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    writer.write(encode_frame(frame_type, frame.request_id, payload))
-                    await writer.drain()
-            writer.close()
-
-        async def run():
-            server = await asyncio.start_server(answer, "127.0.0.1", 0)
-            address = server.sockets[0].getsockname()[:2]
-            try:
-                async with AsyncScoringClient(address) as client:
-                    with pytest.raises(ProtocolError):
-                        await asyncio.wait_for(client.score(probe_frames), 10)
-                    # The connection survives: the next request is answered.
-                    with pytest.raises(ProtocolError):
-                        await asyncio.wait_for(client.ping(), 10)
-                    assert client._pending == {}
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(run())

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers import ActivationLayer, Dense, Dropout, Flatten, Scale
@@ -30,7 +31,7 @@ from repro.symbolic.propagation import (
     propagate_bounds_batch,
 )
 
-from ..oracles.symbolic import Zonotope
+from ..oracles.symbolic import Zonotope, box_affine
 
 #: Tight agreement tolerance: identical arithmetic, possibly different
 #: BLAS kernels / summation groupings.
@@ -78,14 +79,12 @@ def mixed_network():
 # BatchedBox unit behaviour
 # ----------------------------------------------------------------------
 class TestBatchedBox:
-    def test_from_centers_and_points(self, rng):
+    def test_from_centers(self, rng):
         centers = rng.normal(size=(7, 4))
         box = BatchedBox.from_centers(centers, 0.25)
         assert box.batch_size == 7 and box.dimension == 4
         assert_rowwise_close(box.centers, centers)
         assert_rowwise_close(box.radii, np.full((7, 4), 0.25))
-        points = BatchedBox.from_points(centers)
-        np.testing.assert_array_equal(points.lows, points.highs)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ShapeError):
@@ -102,19 +101,39 @@ class TestBatchedBox:
         bias = rng.normal(size=6)
         batched = BatchedBox(lows, highs).affine(weights, bias)
         for i in range(5):
-            single = Box(lows[i], highs[i]).affine(weights, bias)
+            single = box_affine(Box(lows[i], highs[i]), weights, bias)
             assert_rowwise_close(batched.lows[i], single.low, f"row {i} low")
             assert_rowwise_close(batched.highs[i], single.high, f"row {i} high")
 
-    def test_contains_points_rowwise(self, rng):
-        centers = rng.normal(size=(6, 3))
-        box = BatchedBox.from_centers(centers, 0.5)
-        inside = box.contains_points(centers)
-        assert inside.all()
-        outside = np.array(centers, copy=True)
-        outside[2] += 10.0
-        flags = box.contains_points(outside)
-        assert not flags[2] and flags[[0, 1, 3, 4, 5]].all()
+    def test_affine_known_result(self):
+        box = BatchedBox(np.array([[0.0, -1.0]]), np.array([[1.0, 1.0]]))
+        weights = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        image = box.affine(weights, np.array([0.0, 1.0]))
+        # dim0: x0 - x1 with x0 in [0,1], x1 in [-1,1] -> [-1, 2]
+        np.testing.assert_allclose(image.lows, [[-1.0, 0.5]])
+        np.testing.assert_allclose(image.highs, [[2.0, 3.5]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        low=hnp.arrays(np.float64, 3, elements=st.floats(-5, 5)),
+        width=hnp.arrays(np.float64, 3, elements=st.floats(0, 3)),
+        sample=hnp.arrays(np.float64, 3, elements=st.floats(0, 1)),
+        seed=st.integers(0, 1000),
+    )
+    def test_affine_soundness_property(self, low, width, sample, seed):
+        """The affine image of any point of the box lies in the affine box image."""
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=(3, 2))
+        bias = rng.normal(size=2)
+        image = BatchedBox(low, low + width).affine(weights, bias)
+        point = (low + sample * width) @ weights + bias
+        assert np.all(point >= image.lows[0] - 1e-7) and np.all(point <= image.highs[0] + 1e-7)
+
+    def test_elementwise_monotone_uses_bound_transform(self):
+        box = BatchedBox(np.array([[-1.0, 0.0]]), np.array([[1.0, 4.0]]))
+        image = box.elementwise_monotone(lambda lo, hi: (np.tanh(lo), np.tanh(hi)))
+        np.testing.assert_allclose(image.lows, np.tanh([[-1.0, 0.0]]))
+        np.testing.assert_allclose(image.highs, np.tanh([[1.0, 4.0]]))
 
     def test_dimension_mismatch_raises(self):
         box = BatchedBox(np.zeros((2, 3)), np.ones((2, 3)))
@@ -193,7 +212,7 @@ class TestBatchedZonotope:
         np.testing.assert_allclose(highs, high)
 
     def test_points_have_no_generators(self):
-        zono = BatchedZonotope.from_batched_box(BatchedBox.from_points(np.ones((2, 3))))
+        zono = BatchedZonotope.from_batched_box(BatchedBox(np.ones((2, 3)), np.ones((2, 3))))
         assert zono.num_generators == 0
         np.testing.assert_array_equal(zono.radii(), np.zeros((2, 3)))
 
@@ -208,7 +227,7 @@ class TestBatchedZonotope:
         np.testing.assert_allclose(highs, [[3.5, 3.0]])
 
     def test_affine_dimension_mismatch_rejected(self):
-        zono = BatchedZonotope.from_batched_box(BatchedBox.from_points(np.zeros((1, 2))))
+        zono = BatchedZonotope.from_batched_box(BatchedBox(np.zeros((1, 2)), np.zeros((1, 2))))
         with pytest.raises(ShapeError):
             zono.affine(np.zeros((3, 2)), np.zeros(2))
 

@@ -53,7 +53,6 @@ class TestExports:
             "RobustIntervalPatternMonitor",
             "MonitorBuilder",
             "ClassConditionalMonitor",
-            "MonitorEnsemble",
             "PerturbationSpec",
             "MonitorPipeline",
             "build_track_workload",
