@@ -636,19 +636,14 @@ class StreamingScorer(FrontEnd):
     policy:
         The :class:`BatchPolicy`; ``None`` uses the defaults.
     engine:
-        Optional pre-built :class:`BatchScoringEngine` to share caches with
-        other consumers; must wrap ``network``.  ``None`` builds a private
-        one.
+        Optional pre-built :class:`BatchScoringEngine`; must wrap
+        ``network``.  ``None`` builds a private one.  Micro-batches are
+        scored past its activation cache, as the pool worker scores them:
+        every micro-batch is fresh content, so content-hashing it for
+        deduplication would cost more than the forward passes it could save.
     want_verdicts:
         When True, resolved :class:`FrameResult` objects carry the full
         per-monitor :class:`MonitorVerdict` diagnostics, not just flags.
-    cache_batches:
-        When True, scored micro-batches enter the engine's activation
-        cache.  The default False skips the cache for the worker's scoring
-        pass (identical results, same layer walk): every micro-batch is
-        fresh content, so content-hashing it for deduplication costs more
-        than the forward passes it could ever save.  Enable only when the
-        stream is known to repeat identical batches.
     clock:
         Monotonic time source (injectable for tests).
 
@@ -669,7 +664,6 @@ class StreamingScorer(FrontEnd):
         policy: Optional[BatchPolicy] = None,
         engine: Optional[BatchScoringEngine] = None,
         want_verdicts: bool = False,
-        cache_batches: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if engine is not None and engine.network is not network:
@@ -684,7 +678,6 @@ class StreamingScorer(FrontEnd):
         self.engine = engine if engine is not None else BatchScoringEngine(network)
         self.registry = MonitorRegistry(network)
         self.want_verdicts = bool(want_verdicts)
-        self.cache_batches = bool(cache_batches)
         #: Optional :class:`~repro.lifecycle.manager.LifecycleManager` over
         #: this scorer; :meth:`MonitorPipeline.serve(lifecycle=True)
         #: <repro.core.pipeline.MonitorPipeline.serve>` attaches one.
@@ -827,7 +820,7 @@ class StreamingScorer(FrontEnd):
                 monitors,
                 inputs,
                 want_verdicts=self.want_verdicts,
-                use_cache=self.cache_batches,
+                use_cache=False,
             )
             # Shadow verdicts are diverted into their ledgers (confusion vs
             # the live monitor they trail) and stripped from the served

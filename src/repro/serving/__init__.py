@@ -3,8 +3,10 @@
 The in-process :mod:`repro.service` scorer batches frames on a thread; this
 package takes the same contract across process and machine boundaries:
 
-- :mod:`~repro.serving.protocol` — length-prefixed binary wire format with
-  typed error frames (stdlib ``struct`` + JSON headers, no dependencies);
+- :mod:`~repro.serving.protocol` — length-prefixed binary wire format
+  (stdlib ``struct`` + JSON headers, no dependencies) and, free of I/O,
+  all both ends agree on: request/reply pairing, payload codecs, typed
+  errors, and the client's :class:`~repro.serving.protocol.ClientSession`;
 - :mod:`~repro.serving.artifacts` — deployment bundles: network + format-2
   monitor artefacts + manifest, the unit a worker process boots from;
 - :class:`~repro.serving.WorkerPool` — N ``multiprocessing`` workers, each
@@ -14,7 +16,8 @@ package takes the same contract across process and machine boundaries:
   :class:`~repro.service.streaming.FrontEnd` core; crashed workers restart
   and the batches they held are re-sent;
 - :class:`~repro.serving.ScoringServer` / :class:`~repro.serving.ScoringClient`
-  — the TCP face and its pipelining client.
+  — the TCP face and its pipelining client, socket adapters over the
+  protocol.
 
 Verdicts over the wire are bit-identical to offline
 :meth:`~repro.monitors.base.Monitor.warn_batch` — workers load the same

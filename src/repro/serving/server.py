@@ -6,16 +6,16 @@
 in-process :class:`~repro.service.StreamingScorer` or an out-of-process
 :class:`~repro.serving.pool.WorkerPool`.  Built on
 :class:`socketserver.ThreadingTCPServer`: one daemon thread per connection
-reads frames incrementally, SCORE requests go straight into the scorer, and
-each response is written when its futures resolve — requests *pipeline*,
-so a client keeps many scores in flight per connection and responses return
-in completion order, matched by ``request_id``.
+reads frames incrementally and answers each request as the protocol's
+exchange table says (payload codecs, reply type).  SCORE requests go
+straight into the scorer and each reply is written when its futures
+resolve — requests *pipeline*, and replies return in completion order,
+matched by ``request_id``.
 
-Scorer-side failures travel as typed error frames, so remote callers see
-the same exception classes in-process callers do (overload, closed, shape);
-framing violations (bad magic, oversized payload) get one final typed
-error, then the connection closes — after a framing error the byte stream
-has no recoverable frame boundary.
+Failures travel as typed error frames, so remote callers see the exception
+classes in-process callers do; a framing violation (bad magic, oversized
+payload) gets one final typed error, then the connection closes — the byte
+stream has no recoverable frame boundary left.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import socketserver
 import threading
+from concurrent.futures import CancelledError, Future
 from typing import Callable, Optional, Tuple
 
 from ..exceptions import LifecycleStateError, ProtocolError, ReproError
@@ -61,11 +62,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             self.alive = False
 
     def _send_error(self, request_id: int, exc: BaseException) -> None:
-        self._send(
-            protocol.FrameType.ERROR,
-            request_id,
-            protocol.encode_error(protocol.exception_to_code(exc), str(exc)),
-        )
+        self._send(protocol.FrameType.ERROR, request_id, protocol.encode_error(exc))
 
     def handle(self) -> None:
         peer = self.client_address
@@ -90,135 +87,88 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         _LOG.info("connection from %s:%s closed", *peer)
 
     # ------------------------------------------------------------------
-    _LIFECYCLE_TYPES = (
-        protocol.FrameType.LIFECYCLE_STATUS,
-        protocol.FrameType.PROMOTE,
-        protocol.FrameType.ROLLBACK,
-        protocol.FrameType.SHADOW_REPORT,
-    )
-
     def _dispatch(self, frame: protocol.Frame) -> None:
-        if frame.type == protocol.FrameType.PING:
-            self._send(protocol.FrameType.PONG, frame.request_id, frame.payload)
-        elif frame.type == protocol.FrameType.STATS:
-            self._send(
-                protocol.FrameType.STATS_REPLY,
-                frame.request_id,
-                protocol.encode_json(self.owner.stats_snapshot()),
-            )
-        elif frame.type == protocol.FrameType.SCORE:
-            self._handle_score(frame)
-        elif frame.type in self._LIFECYCLE_TYPES:
-            self._handle_lifecycle(frame)
-        else:
-            self._send_error(
-                frame.request_id,
-                ProtocolError(f"frame type {frame.type.name} is not a request"),
-            )
-
-    def _handle_lifecycle(self, frame: protocol.Frame) -> None:
-        """Lifecycle control frames, answered with one LIFECYCLE_REPLY.
-
-        The handlers run on the connection thread: promotion quiesces the
-        front-end, which must not block the scoring
-        path — and does not, since scoring responses are written by future
-        done-callbacks, not by this thread.
-        """
-        manager = self.owner.lifecycle
+        """Answer one request as its exchange in the protocol table says."""
+        exchange = protocol._EXCHANGES.get(frame.type)
         try:
-            if manager is None:
-                raise LifecycleStateError(
-                    "this server has no lifecycle manager attached; start it "
-                    "with ScoringServer(lifecycle=...) or "
-                    "MonitorPipeline.serve(lifecycle=True)"
-                )
-            request = (
-                protocol.decode_json(frame.payload) if frame.payload else {}
-            )
-            if frame.type == protocol.FrameType.LIFECYCLE_STATUS:
-                reply = manager.status()
-            elif frame.type == protocol.FrameType.SHADOW_REPORT:
-                reply = {"shadows": manager.shadow_report(request.get("name"))}
-            elif frame.type == protocol.FrameType.PROMOTE:
-                name = self._request_name(request)
-                version = manager.promote(
-                    name,
-                    guard=bool(request.get("guard", True)),
-                    watch_budget=self._request_field(request, "watch_budget", (int, float)),
-                )
-                reply = {"name": name, "version": version}
-            else:  # ROLLBACK
-                name = self._request_name(request)
-                version = manager.rollback(name, self._request_field(request, "version", int))
-                reply = {"name": name, "version": version}
+            if exchange is None:
+                raise ProtocolError(f"frame type {frame.type.name} is not a request")
+            reply = self._handlers[frame.type](self, exchange.request.decode(frame.payload))
         except ReproError as exc:
             self._send_error(frame.request_id, exc)
             return
-        self._send(
-            protocol.FrameType.LIFECYCLE_REPLY,
-            frame.request_id,
-            protocol.encode_json(reply),
-        )
+        if isinstance(reply, Future):
+            reply.add_done_callback(lambda done: self._reply(frame.request_id, exchange, done))
+        else:
+            self._send(exchange.reply, frame.request_id, exchange.response.encode(reply))
 
-    @staticmethod
-    def _request_name(request: dict) -> str:
-        name = request.get("name")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError(
-                "lifecycle request payload must carry a monitor 'name'"
-            )
-        return name
+    def _reply(self, request_id: int, exchange, done: Future) -> None:
+        if done.exception() is not None:
+            self._send_error(request_id, done.exception())
+        else:
+            self._send(exchange.reply, request_id, exchange.response.encode(done.result()))
 
-    @staticmethod
-    def _request_field(request: dict, key: str, types):
-        """``request[key]`` when absent (``None``) or of ``types``; bools refused."""
-        value = request.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ProtocolError(f"lifecycle request field '{key}' has the wrong type")
-        return value
+    def _score(self, frames) -> Future:
+        """Submit the frames; the future resolves to their warn vectors.
 
-    def _handle_score(self, frame: protocol.Frame) -> None:
-        request_id = frame.request_id
-        try:
-            inputs = protocol.decode_score_request(frame.payload)
-            futures = self.owner.scorer.submit_many(inputs)
-        except ReproError as exc:
-            self._send_error(request_id, exc)
-            return
+        Pipelining without extra threads: the done-callback of the last
+        frame future to resolve assembles the reply."""
+        futures = self.owner.scorer.submit_many(frames)
         self.owner.count_request(len(futures))
-        if not futures:
-            self._send(
-                protocol.FrameType.RESULT, request_id, protocol.encode_result({})
-            )
-            return
-        # Pipelining without extra threads: the done-callback of the last
-        # future to resolve assembles and writes the response.
+        reply: Future = Future()
         remaining = [len(futures)]
         counter_lock = threading.Lock()
-
-        def finish() -> None:
-            try:
-                results = [future.result() for future in futures]
-            except BaseException as exc:
-                self._send_error(request_id, exc)
-                return
-            names = results[0].warns.keys()
-            warns = {
-                name: [result.warns[name] for result in results] for name in names
-            }
-            self._send(
-                protocol.FrameType.RESULT, request_id, protocol.encode_result(warns)
-            )
 
         def on_done(_future) -> None:
             with counter_lock:
                 remaining[0] -= 1
-                last = remaining[0] == 0
-            if last:
-                finish()
+                if remaining[0]:
+                    return
+            try:
+                results = [future.result() for future in futures]
+            except (CancelledError, Exception) as exc:
+                reply.set_exception(exc)
+                return
+            names = results[0].warns.keys()
+            reply.set_result(
+                {name: [result.warns[name] for result in results] for name in names}
+            )
 
+        if not futures:
+            reply.set_result({})
         for future in futures:
             future.add_done_callback(on_done)
+        return reply
+
+    # Lifecycle requests run on the connection thread: promotion quiesces
+    # the front-end, which must not block the scoring path — and does not,
+    # since score replies are written by future done-callbacks.
+    def _manager(self):
+        manager = self.owner.lifecycle
+        if manager is None:
+            raise LifecycleStateError(
+                "this server has no lifecycle manager attached; start it with "
+                "ScoringServer(lifecycle=...) or MonitorPipeline.serve(lifecycle=True)"
+            )
+        return manager
+
+    def _promote(self, request: dict) -> dict:
+        return {"name": request["name"], "version": self._manager().promote(**request)}
+
+    def _rollback(self, request: dict) -> dict:
+        return {"name": request["name"], "version": self._manager().rollback(**request)}
+
+    _handlers = {
+        protocol.FrameType.SCORE: _score,
+        protocol.FrameType.PING: lambda self, payload: payload,
+        protocol.FrameType.STATS: lambda self, _: self.owner.stats_snapshot(),
+        protocol.FrameType.LIFECYCLE_STATUS: lambda self, _: self._manager().status(),
+        protocol.FrameType.PROMOTE: _promote,
+        protocol.FrameType.ROLLBACK: _rollback,
+        protocol.FrameType.SHADOW_REPORT: lambda self, request: {
+            "shadows": self._manager().shadow_report(**request)
+        },
+    }
 
 
 class ScoringServer:

@@ -10,6 +10,7 @@ import socket
 
 import pytest
 
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.serving import FrameType, ScoringClient, ScoringServer, encode_frame, protocol
 
 BAD_REQUESTS = {
@@ -61,8 +62,7 @@ def test_bad_field_gets_a_typed_error_and_the_connection_survives(
     with ScoringServer(scorer, lifecycle=manager) as server:
         reply = exchange(server, frame_type, payload)
     assert reply.type == FrameType.ERROR
-    code, _ = protocol.decode_error(reply.payload)
-    assert code == "protocol"
+    assert type(protocol.decode_error(reply.payload)) is ProtocolError
     # The refused request changed nothing.
     assert manager.live_version("mon") == 1
     assert manager.staged_version("mon") == 2
@@ -72,14 +72,19 @@ def test_bad_field_gets_a_typed_error_and_the_connection_survives(
 def test_out_of_range_budget_is_refused_before_anything_changes(
     manager, scorer, candidate_monitor, budget
 ):
-    """A well-typed budget outside [0, 1] is refused by the manager itself."""
+    """A well-typed budget outside [0, 1] is refused by the manager itself,
+    and reaches the caller as the ConfigurationError it raised."""
     manager.stage("mon", candidate_monitor, shadow=False)
     payload = {"name": "mon", "guard": False, "watch_budget": budget}
     with ScoringServer(scorer, lifecycle=manager) as server:
         reply = exchange(server, FrameType.PROMOTE, payload)
+        with ScoringClient(server.address, timeout=10) as client:
+            with pytest.raises(ConfigurationError, match="watch_budget"):
+                client.promote("mon", guard=False, watch_budget=budget)
     assert reply.type == FrameType.ERROR
-    _, message = protocol.decode_error(reply.payload)
-    assert "watch_budget" in message
+    error = protocol.decode_error(reply.payload)
+    assert type(error) is ConfigurationError
+    assert "watch_budget" in str(error)
     assert manager.live_version("mon") == 1
     assert manager.staged_version("mon") == 2
 

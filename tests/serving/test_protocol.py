@@ -1,8 +1,10 @@
-"""Wire-codec tests: framing, payload codecs, typed errors, robustness.
+"""Wire-codec tests: framing, payload codecs, typed errors, robustness,
+and the client session.
 
 The protocol module is pure bytes-in/bytes-out, so everything here runs
 without sockets — including the hypothesis round-trips that feed the
-decoder the exact byte stream under adversarially chosen chunk boundaries.
+decoder and the client session the exact byte stream under adversarially
+chosen chunk boundaries, reply orders, truncations and corruptions.
 """
 
 import numpy as np
@@ -11,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
+    ConfigurationError,
+    LifecycleStateError,
     ProtocolError,
     RemoteScoringError,
+    ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShapeError,
@@ -91,10 +96,6 @@ class TestFraming:
             encode_frame(FrameType.PING, -1)
         with pytest.raises(ProtocolError):
             encode_frame(FrameType.PING, 2**64)
-
-    def test_response_type_predicate(self):
-        assert not Frame(FrameType.SCORE, 1).is_response
-        assert Frame(FrameType.RESULT, 1).is_response
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -187,8 +188,13 @@ class TestResultCodec:
         with pytest.raises(ProtocolError):
             protocol.decode_result(payload)
 
-    def test_malformed_payload_json_rejected(self):
-        bad = protocol._JSON_LEN.pack(4) + b"\xff\xfe\x00\x01"
+    @pytest.mark.parametrize(
+        "header",
+        [b"\xff\xfe\x00\x01", b"[" * 100_000, b'{"count":' + b"1" * 5000 + b"}"],
+        ids=["bad-utf8", "nested-past-recursion-limit", "integer-past-digit-limit"],
+    )
+    def test_malformed_payload_json_rejected(self, header):
+        bad = protocol._JSON_LEN.pack(len(header)) + header
         with pytest.raises(ProtocolError):
             protocol.decode_result(bad)
 
@@ -227,21 +233,23 @@ class TestTypedErrors:
             (WorkerCrashError("x"), "worker_crash"),
             (RemoteScoringError("x"), "internal"),
             (ValueError("x"), "internal"),
+            (ConfigurationError("x"), "configuration"),
+            (LifecycleStateError("x"), "lifecycle"),
         ],
     )
     def test_exception_code_roundtrip(self, exc, code):
-        assert protocol.exception_to_code(exc) == code
-        raised = protocol.error_to_exception(
-            *protocol.decode_error(protocol.encode_error(code, str(exc)))
-        )
-        if isinstance(exc, tuple(protocol._CODE_TO_EXCEPTION.values())):
+        payload = protocol.encode_error(exc)
+        assert protocol.decode_json(payload) == {"code": code, "message": "x"}
+        raised = protocol.decode_error(payload)
+        if isinstance(exc, ReproError):
             assert type(raised) is type(exc)
         else:
-            assert isinstance(raised, RemoteScoringError)
+            assert type(raised) is RemoteScoringError
+        assert str(raised) == "x"
 
     def test_unknown_code_maps_to_remote_error(self):
-        exc = protocol.error_to_exception("who-knows", "boom")
-        assert isinstance(exc, RemoteScoringError)
+        exc = protocol.decode_error(protocol.encode_json({"code": "who-knows", "message": "boom"}))
+        assert type(exc) is RemoteScoringError
         assert "boom" in str(exc)
 
     def test_worker_crash_is_remote_scoring_error(self):
@@ -253,3 +261,141 @@ class TestJsonCodec:
     def test_roundtrip(self):
         data = {"a": 1, "nested": {"b": [1, 2, 3]}}
         assert protocol.decode_json(protocol.encode_json(data)) == data
+
+
+# One argument per request type, and the reply type that answers it.
+REQUESTS = {
+    FrameType.SCORE: (np.zeros((2, 3)), FrameType.RESULT),
+    FrameType.PING: (b"ping", FrameType.PONG),
+    FrameType.STATS: (None, FrameType.STATS_REPLY),
+    FrameType.LIFECYCLE_STATUS: (None, FrameType.LIFECYCLE_REPLY),
+    FrameType.PROMOTE: (
+        {"name": "m", "guard": True, "watch_budget": None},
+        FrameType.LIFECYCLE_REPLY,
+    ),
+    FrameType.ROLLBACK: ({"name": "m", "version": 1}, FrameType.LIFECYCLE_REPLY),
+    FrameType.SHADOW_REPORT: ({"name": None}, FrameType.LIFECYCLE_REPLY),
+}
+ERRORS = [cls for _, cls in protocol._ERROR_CODES] + [ValueError]
+
+
+@st.composite
+def exchanges(draw):
+    """Pipelined requests of every type, each with a well-formed reply:
+    the one its type expects, or a typed ERROR."""
+    types = draw(st.lists(st.sampled_from(sorted(REQUESTS)), min_size=1, max_size=8))
+    replies = []
+    for request_type in types:
+        reply_type = REQUESTS[request_type][1]
+        if draw(st.booleans()):
+            error = draw(st.sampled_from(ERRORS))(draw(st.text(max_size=12)))
+            replies.append((FrameType.ERROR, protocol.encode_error(error)))
+        elif reply_type == FrameType.RESULT:
+            count = draw(st.integers(0, 4))
+            names = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
+            flags = st.lists(st.booleans(), min_size=count, max_size=count)
+            replies.append((reply_type, protocol.encode_result({n: draw(flags) for n in names})))
+        elif reply_type == FrameType.PONG:
+            replies.append((reply_type, draw(st.binary(max_size=12))))
+        else:
+            data = draw(st.dictionaries(st.text(max_size=4), st.integers(), max_size=3))
+            replies.append((reply_type, protocol.encode_json(data)))
+    return types, replies
+
+
+def open_requests(types):
+    session = protocol.ClientSession()
+    sent = [session.request(t, REQUESTS[t][0]) for t in types]
+    return session, [request_id for request_id, _, _ in sent], [f for _, f, _ in sent]
+
+
+def deliver(session, stream, cuts):
+    bounds = sorted(set(cuts)) + [len(stream)]
+    for begin, end in zip([0] + bounds, bounds):
+        session.receive(stream[begin:end])
+
+
+def outcome(future):
+    assert future.done()
+    if future.exception() is not None:
+        return type(future.exception()), str(future.exception())
+    value = future.result()
+    if isinstance(value, dict):
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in value.items()}
+    return value
+
+
+class TestClientSession:
+    """The client's half of the wire, fed bytes directly: no sockets."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(plan=exchanges(), data=st.data())
+    def test_any_order_and_split_settles_as_one_chunk_does(self, plan, data):
+        types, replies = plan
+        session, ids, futures = open_requests(types)
+        order = data.draw(st.permutations(range(len(types))))
+        stream = b"".join(encode_frame(replies[i][0], ids[i], replies[i][1]) for i in order)
+        deliver(session, stream, data.draw(st.lists(st.integers(0, len(stream)), max_size=10)))
+        assert session.pending == {}
+
+        reference, ref_ids, ref_futures = open_requests(types)
+        reference.receive(
+            b"".join(encode_frame(kind, i, payload) for i, (kind, payload) in zip(ref_ids, replies))
+        )
+        assert [outcome(f) for f in futures] == [outcome(f) for f in ref_futures]
+
+    @settings(max_examples=120, deadline=None)
+    @given(plan=exchanges(), data=st.data())
+    def test_truncated_or_corrupted_replies_raise_only_typed_errors(self, plan, data):
+        types, replies = plan
+        session, ids, futures = open_requests(types)
+        stream = bytearray(
+            b"".join(encode_frame(kind, i, payload) for i, (kind, payload) in zip(ids, replies))
+        )
+        for _ in range(data.draw(st.integers(0, 3))):
+            stream[data.draw(st.integers(0, len(stream) - 1))] = data.draw(st.integers(0, 255))
+        stream = bytes(stream[: data.draw(st.integers(0, len(stream)))])
+        try:
+            deliver(session, stream, data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+        except ProtocolError:
+            pass  # the stream lost its frame boundary: the connection closes
+        session.fail_all(RemoteScoringError("connection lost"))
+        assert session.pending == {}
+        for future in futures:
+            assert future.done()
+            assert future.exception() is None or isinstance(future.exception(), ReproError)
+
+    @pytest.mark.parametrize(
+        "request_type, reply_type, payload",
+        [
+            (FrameType.SCORE, FrameType.PONG, b"ping"),
+            (FrameType.PING, FrameType.RESULT, protocol.encode_result({"m": [True]})),
+            (FrameType.PROMOTE, FrameType.STATS_REPLY, protocol.encode_json({"a": 1})),
+            (FrameType.SCORE, FrameType.SCORE, b""),
+        ],
+        ids=["pong-to-score", "result-to-ping", "stats-reply-to-promote", "request-as-reply"],
+    )
+    def test_reply_of_another_type_fails_only_its_request(self, request_type, reply_type, payload):
+        session, ids, futures = open_requests([request_type, FrameType.PING])
+        session.receive(
+            encode_frame(reply_type, ids[0], payload) + encode_frame(FrameType.PONG, ids[1], b"ok")
+        )
+        with pytest.raises(ProtocolError, match="cannot answer"):
+            futures[0].result(0)
+        assert futures[1].result(0) == b"ok"
+        assert session.pending == {}
+
+    def test_requests_on_the_wire_cannot_be_cancelled(self):
+        session, ids, futures = open_requests([FrameType.PING])
+        assert not futures[0].cancel()
+        session.receive(encode_frame(FrameType.PONG, ids[0], b"ping"))
+        assert futures[0].result(0) == b"ping"
+
+    def test_lifecycle_payloads_are_the_clients_dicts_without_nones(self):
+        _, _, data = protocol.ClientSession().request(
+            FrameType.PROMOTE, {"name": "m", "guard": False, "watch_budget": None}
+        )
+        frame = FrameDecoder().feed(data)[0]
+        assert frame.payload == protocol.encode_json({"name": "m", "guard": False})
+        _, _, data = protocol.ClientSession().request(FrameType.STATS)
+        assert FrameDecoder().feed(data)[0].payload == b""

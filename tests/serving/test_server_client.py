@@ -114,6 +114,23 @@ class TestRoundtrip:
             thread.join()
         assert not errors
 
+    def test_codec_calls_go_through_the_patchable_module_attributes(
+        self, client, monkeypatch, probe_frames
+    ):
+        """perfbench's tracer times the client's codecs by wrapping these two
+        module attributes; a call that bypasses them reads as zero."""
+        calls = []
+        for name in ("encode_score_request", "decode_result"):
+            original = getattr(protocol, name)
+
+            def counting(payload, original=original, name=name):
+                calls.append(name)
+                return original(payload)
+
+            monkeypatch.setattr(protocol, name, counting)
+        client.score(probe_frames)
+        assert sorted(calls) == ["decode_result", "encode_score_request"]
+
 
 class TestTypedErrors:
     def test_shape_error_crosses_the_wire(self, client):
@@ -135,8 +152,7 @@ class TestTypedErrors:
                 frames = decoder.feed(raw.recv(65536))
         assert frames[0].type == FrameType.ERROR
         assert frames[0].request_id == 5
-        code, _ = protocol.decode_error(frames[0].payload)
-        assert code == "protocol"
+        assert type(protocol.decode_error(frames[0].payload)) is ProtocolError
 
     def test_garbage_bytes_answered_with_protocol_error_then_close(self, server):
         with socket.create_connection(server.address, timeout=10) as raw:
@@ -148,20 +164,31 @@ class TestTypedErrors:
                 assert chunk, "server closed without sending the error frame"
                 frames = decoder.feed(chunk)
             assert frames[0].type == FrameType.ERROR
-            code, _ = protocol.decode_error(frames[0].payload)
-            assert code == "protocol"
+            assert type(protocol.decode_error(frames[0].payload)) is ProtocolError
             # After the typed error the server closes the unsynchronised
             # stream: the next read must reach EOF.
             while chunk:
                 chunk = raw.recv(65536)
 
     @pytest.mark.parametrize(
-        "frame_type, payload",
-        [(FrameType.RESULT, b"\x00"), (FrameType.SCORE, b"")],
-        ids=["malformed-result", "unexpected-type"],
+        "frame_type, payload, calls",
+        [
+            (FrameType.RESULT, b"\x00", ("score", "ping")),
+            (FrameType.SCORE, b"", ("score", "ping")),
+            (FrameType.PONG, b"ping", ("score", "score")),
+            (FrameType.RESULT, protocol.encode_result({"m": [True]}), ("ping", "ping")),
+            (FrameType.STATS_REPLY, protocol.encode_json({"a": 1}), ("promote", "promote")),
+        ],
+        ids=[
+            "malformed-result",
+            "unexpected-type",
+            "pong-to-score",
+            "result-to-ping",
+            "stats-reply-to-promote",
+        ],
     )
     def test_bad_response_fails_the_request_instead_of_hanging(
-        self, frame_type, payload, probe_frames
+        self, frame_type, payload, calls, probe_frames
     ):
         listener = socket.create_server(("127.0.0.1", 0))
 
@@ -179,15 +206,19 @@ class TestTypedErrors:
 
         responder = threading.Thread(target=answer, daemon=True)
         responder.start()
+        requests = {
+            "score": lambda c: c.score(probe_frames),
+            "ping": lambda c: c.ping(),
+            "promote": lambda c: c.promote("mon", guard=False),
+        }
         try:
             with ScoringClient(listener.getsockname(), timeout=10) as c:
-                with pytest.raises(ProtocolError):
-                    c.score(probe_frames)
-                # The connection survives: the next request is answered on it
-                # (the fake server accepts one connection only).
-                with pytest.raises(ProtocolError):
-                    c.ping()
-                assert c._pending == {}
+                # The connection survives a bad reply: the second request is
+                # answered on it (the fake server accepts one connection only).
+                for call in calls:
+                    with pytest.raises(ProtocolError):
+                        requests[call](c)
+                assert c._session.pending == {}
                 assert c.is_connected
         finally:
             listener.close()
@@ -229,24 +260,14 @@ class TestReconnect:
             future.result(5)
         client.close()
 
-    def test_no_auto_reconnect_when_disabled(self, local_scorer):
-        server = ScoringServer(local_scorer).start()
-        client = ScoringClient(server.address, timeout=5, auto_reconnect=False)
-        client.connect()
-        server.close(drain=False)
-        client.close()
-        with pytest.raises(RemoteScoringError):
-            client.score(np.ones((1, 6)))
-
-    @pytest.mark.parametrize("auto_reconnect", [True, False])
-    def test_refused_dial_raises_typed_error(self, auto_reconnect):
+    def test_refused_dial_raises_typed_error(self):
         # A port that was bound and released has no listener: dialing it is
         # refused at once, deterministically.
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         probe.bind(("127.0.0.1", 0))
         address = probe.getsockname()
         probe.close()
-        client = ScoringClient(address, timeout=5, auto_reconnect=auto_reconnect)
+        client = ScoringClient(address, timeout=5)
         try:
             with pytest.raises(RemoteScoringError):
                 client.connect()
@@ -258,10 +279,9 @@ class TestReconnect:
         finally:
             client.close()
 
-    @pytest.mark.parametrize("auto_reconnect", [True, False])
-    def test_send_on_a_reset_connection_raises_typed_error(self, auto_reconnect, probe_frames):
+    def test_send_on_a_reset_connection_raises_typed_error(self, probe_frames):
         listener = socket.create_server(("127.0.0.1", 0))
-        client = ScoringClient(listener.getsockname(), timeout=5, auto_reconnect=auto_reconnect)
+        client = ScoringClient(listener.getsockname(), timeout=5)
         try:
             client.connect()
             # The server side resets the connection (linger 0 sends RST) and
@@ -272,7 +292,7 @@ class TestReconnect:
             listener.close()
             with pytest.raises(RemoteScoringError):
                 client.score(probe_frames)
-            assert client._pending == {}
+            assert client._session.pending == {}
         finally:
             listener.close()
             client.close()
